@@ -296,9 +296,18 @@ void BM_GraphBigVisitorDispatch(benchmark::State& state) {
       return false;
     }
   } visitor;
+  // Hide the dynamic type so every call below stays virtual.
+  systems::graphbig_detail::EdgeVisitor* dispatch = &visitor;
+  benchmark::DoNotOptimize(dispatch);
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.for_each_edge(visitor));
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      auto& src = g.vertex(v);
+      for (auto& e : src.out_edges) {
+        (void)dispatch->examine(src, e, g.vertex(e.target));
+      }
+    }
+    benchmark::DoNotOptimize(visitor.sum);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_edges()));
@@ -345,13 +354,12 @@ void BM_LigraEdgeMapDense(benchmark::State& state) {
 BENCHMARK(BM_LigraEdgeMapDense)->Arg(12);
 
 // ---------------------------------------------------------------------
-// PageRank before/after the memory-locality overhaul. Every pair runs
-// from one binary so the comparison holds the toolchain, graph, and
-// thread count fixed: the "legacy" side is the pre-overhaul kernel kept
-// verbatim behind Options::pr_mode, the other sides are the
-// contribution-precomputing pull kernel and the propagation-blocked
-// push kernel. Fixed iteration count (epsilon = 0 never converges
-// early) so both sides do identical algorithmic work.
+// PageRank kernel variants: the contribution-precomputing pull kernel and
+// the propagation-blocked push kernel, run from one binary so the
+// comparison holds the toolchain, graph, and thread count fixed. Fixed
+// iteration count (epsilon = 0 never converges early) so every side does
+// identical algorithmic work. The pre-overhaul kernels these replaced are
+// gone; their recorded numbers stay in results_kernels.json.
 // ---------------------------------------------------------------------
 
 PageRankParams bench_pr_params() {
@@ -361,11 +369,11 @@ PageRankParams bench_pr_params() {
   return p;
 }
 
-template <typename System, typename Options>
-void run_pagerank_bench(benchmark::State& state, const Options& opts) {
+template <typename System, typename... Options>
+void run_pagerank_bench(benchmark::State& state, const Options&... opts) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   ThreadScope threads(static_cast<int>(state.range(1)));
-  System sys(opts);
+  System sys(opts...);
   sys.set_edges(el);
   sys.build();
   const PageRankParams params = bench_pr_params();
@@ -375,13 +383,6 @@ void run_pagerank_bench(benchmark::State& state, const Options& opts) {
   state.SetItemsProcessed(state.iterations() * params.max_iterations *
                           static_cast<std::int64_t>(el.num_edges()));
 }
-
-void BM_PageRankGapLegacy(benchmark::State& state) {
-  systems::GapSystem::Options opts;
-  opts.pr_mode = systems::GapSystem::PrMode::kLegacy;
-  run_pagerank_bench<systems::GapSystem>(state, opts);
-}
-BENCHMARK(BM_PageRankGapLegacy)->Args({14, 1})->Args({14, 8});
 
 void BM_PageRankGapPull(benchmark::State& state) {
   systems::GapSystem::Options opts;
@@ -411,17 +412,8 @@ void BM_PageRankGraphMatBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_PageRankGraphMatBlocked)->Args({14, 1})->Args({14, 8});
 
-void BM_PageRankGraphBigLegacy(benchmark::State& state) {
-  systems::GraphBigSystem::Options opts;
-  opts.pr_mode = systems::GraphBigSystem::PrMode::kLegacy;
-  run_pagerank_bench<systems::GraphBigSystem>(state, opts);
-}
-BENCHMARK(BM_PageRankGraphBigLegacy)->Args({14, 1})->Args({14, 8});
-
 void BM_PageRankGraphBigBlocked(benchmark::State& state) {
-  systems::GraphBigSystem::Options opts;
-  opts.pr_mode = systems::GraphBigSystem::PrMode::kBlocked;
-  run_pagerank_bench<systems::GraphBigSystem>(state, opts);
+  run_pagerank_bench<systems::GraphBigSystem>(state);
 }
 BENCHMARK(BM_PageRankGraphBigBlocked)->Args({14, 1})->Args({14, 8});
 

@@ -60,7 +60,7 @@ namespace {
 
 /// The graceful-degradation path: the sweep must survive a sick cache.
 /// Whatever edges we already have (or can regenerate in RAM) carry the
-/// run; the entry is cleared so the runner uses the in-memory data path.
+/// run; the entry is cleared so the systems are staged from RAM.
 PreparedDataset degrade_to_ram(const GraphSpec& spec, PreparedDataset out,
                                const std::string& why) {
   ++g_stats.degraded_runs;
@@ -79,7 +79,11 @@ PreparedDataset degrade_to_ram(const GraphSpec& spec, PreparedDataset out,
 
 PreparedDataset prepare_dataset(const GraphSpec& spec,
                                 const DatasetOptions& opts) {
-  EPGS_CHECK(opts.enabled(), "prepare_dataset: dataset pipeline disabled");
+  PreparedDataset out;
+  if (opts.cache_dir.empty()) {
+    out.edges = materialize(spec);
+    return out;
+  }
   CacheOptions copts;
   copts.lock_timeout_seconds = opts.lock_timeout_seconds;
   copts.min_free_disk_bytes = opts.min_free_disk_bytes;
@@ -88,7 +92,6 @@ PreparedDataset prepare_dataset(const GraphSpec& spec,
   // (SnapFile digest), which the uncached path could not survive either.
   const std::string fp = spec_fingerprint(spec);
 
-  PreparedDataset out;
   try {
     if (auto entry = cache.lookup(fp)) {
       ++g_stats.cache_hits;

@@ -49,25 +49,21 @@ struct GraphSpec {
 /// Generate/load the graph and apply the configured preprocessing.
 EdgeList materialize(const GraphSpec& spec);
 
-/// Dataset pipeline knobs. When enabled, the runner materializes the
-/// graph through the content-addressed dataset cache (generation +
-/// homogenization happen at most once per content fingerprint) and routes
-/// every system's load through its homogenized native file, so "file
-/// read" phases time real zero-copy I/O. Disabled (the default, and what
-/// --no-cache forces) the runner stages edges from RAM as before.
+/// Dataset pipeline knobs. Every run stages its graph through
+/// prepare_dataset. With a cache_dir the graph is materialized through the
+/// content-addressed dataset cache (generation + homogenization happen at
+/// most once per content fingerprint) and every system loads its
+/// homogenized native file, so "file read" phases time real zero-copy
+/// I/O. Without one (the default) the edges are generated in RAM and
+/// staged into each system directly.
 struct DatasetOptions {
-  std::string cache_dir;  ///< cache root; empty disables the pipeline
-  bool use_cache = true;  ///< false = legacy in-memory data path
+  std::string cache_dir;  ///< cache root; empty = in-RAM edges, no files
   /// How long to wait on another process's cache builder lock before
   /// degrading to uncached generation (see graph/cache_lock.hpp).
   double lock_timeout_seconds = 60.0;
   /// Refuse to publish a cache entry when the volume has fewer free bytes
   /// than this; 0 disables the preflight.
   std::uint64_t min_free_disk_bytes = 0;
-
-  [[nodiscard]] bool enabled() const {
-    return use_cache && !cache_dir.empty();
-  }
 };
 
 /// Fault-tolerance knobs for the trial supervisor. The defaults disable

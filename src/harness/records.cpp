@@ -8,23 +8,14 @@ namespace epgs::harness {
 namespace {
 
 constexpr std::size_t kCsvColumns = 14;
-// The pre-checkpoint record format: no attempts / resumed_from columns.
-// Still parsed so archived result files and journals stay replayable.
-constexpr std::size_t kLegacyCsvColumns = 12;
 
 const CsvRow& csv_header() {
-  // attempts / resumed_from trail outcome so every legacy column keeps
-  // its index (scripts address these columns positionally).
+  // attempts / resumed_from trail outcome so the columns before them
+  // keep their index (scripts address these columns positionally).
   static const CsvRow header{"dataset",  "system", "algorithm", "threads",
                              "trial",    "phase",  "seconds",   "edges",
                              "vupdates", "bytes",  "iterations", "outcome",
                              "attempts", "resumed_from"};
-  return header;
-}
-
-const CsvRow& legacy_csv_header() {
-  static const CsvRow header(csv_header().begin(),
-                             csv_header().begin() + kLegacyCsvColumns);
   return header;
 }
 
@@ -103,11 +94,9 @@ CsvRow record_to_csv_row(const RunRecord& r) {
 }
 
 RunRecord record_from_csv_row(const CsvRow& row) {
-  EPGS_CHECK(row.size() == kCsvColumns || row.size() == kLegacyCsvColumns,
+  EPGS_CHECK(row.size() == kCsvColumns,
              "CSV row has " + std::to_string(row.size()) +
-                 " fields, expected " + std::to_string(kCsvColumns) +
-                 " (or the legacy " + std::to_string(kLegacyCsvColumns) +
-                 ")");
+                 " fields, expected " + std::to_string(kCsvColumns));
   RunRecord r;
   r.dataset = row[0];
   r.system = row[1];
@@ -121,10 +110,8 @@ RunRecord record_from_csv_row(const CsvRow& row) {
   r.work.bytes_touched = parse_u64_field(row[9], "bytes");
   if (!row[10].empty()) r.extra["iterations"] = row[10];
   r.outcome = outcome_from_name(row[11]);
-  if (row.size() == kCsvColumns) {
-    if (!row[12].empty()) r.extra["attempts"] = row[12];
-    if (!row[13].empty()) r.extra["resumed_from_iter"] = row[13];
-  }
+  if (!row[12].empty()) r.extra["attempts"] = row[12];
+  if (!row[13].empty()) r.extra["resumed_from_iter"] = row[13];
   return r;
 }
 
@@ -154,7 +141,7 @@ std::string records_to_stripped_csv(const std::vector<RunRecord>& records) {
 std::vector<RunRecord> records_from_csv(const std::string& csv) {
   const auto rows = parse_csv(csv);
   EPGS_CHECK(!rows.empty(), "empty CSV");
-  EPGS_CHECK(rows[0] == csv_header() || rows[0] == legacy_csv_header(),
+  EPGS_CHECK(rows[0] == csv_header(),
              "CSV header does not match the phase-4 record format");
   std::vector<RunRecord> records;
   for (std::size_t i = 1; i < rows.size(); ++i) {

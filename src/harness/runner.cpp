@@ -67,7 +67,7 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
                          RecordCollector& collector, Xoshiro256& backoff_rng,
                          std::map<std::string, std::string>& raw_logs) {
   const SupervisorOptions& sup = cfg.supervisor;
-  const bool file_mode = plan.data_path == DataPath::kNativeFile;
+  const bool file_mode = !sp.native_file.empty();
 
   std::unique_ptr<System> sys;
   try {
@@ -104,7 +104,7 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
     return recs;
   };
 
-  // Stage the data. On the native-file path, separate-construction
+  // Stage the data. With a native file, separate-construction
   // systems get a supervised in-parent "file read" unit so the phase
   // times real zero-copy I/O; fused systems (GraphBIG, PowerGraph) only
   // record the path here — build() reads it, timed as one fused phase.
@@ -198,8 +198,8 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
       TokenGuard guard{sys.get()};
       const std::size_t mark = sys->log().entries().size();
       if (sp.rebuild_per_trial) {
-        // On the file path the edges staged by the load unit persist
-        // across builds; re-staging from RAM is the legacy path.
+        // With a native file the edges staged by the load unit persist
+        // across builds; otherwise every build re-stages them from RAM.
         if (!file_mode) sys->set_edges(el);
         sys->build();
       }
@@ -321,49 +321,24 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  // Materialize: through the content-addressed cache (and on to the
-  // native-file data path) when the pipeline is enabled, else the legacy
-  // in-RAM path.
-  EdgeList el;
-  std::optional<HomogenizedDataset> files;
-  StagedDataset staged;
-  bool degraded = false;
-  std::string degradation;
-  if (cfg.dataset.enabled()) {
-    PreparedDataset prep = prepare_dataset(cfg.graph, cfg.dataset);
-    el = std::move(prep.edges);
-    if (prep.degraded) {
-      // Sick cache (disk full, lock timeout, I/O error): the sweep runs
-      // anyway on the in-RAM data path and the result carries a warning.
-      degraded = true;
-      degradation = prep.degradation;
-    } else {
-      files = std::move(prep.entry.files);
-      staged.files = &*files;
-      staged.cache_hit = prep.cache_hit;
-    }
-  } else {
-    el = materialize(cfg.graph);
-  }
-  staged.edges = &el;
-
-  ExperimentResult result = run_experiment(cfg, staged);
-  result.dataset_degraded = degraded;
-  result.dataset_warning = std::move(degradation);
-  return result;
+  return run_experiment(cfg, prepare_dataset(cfg.graph, cfg.dataset));
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const StagedDataset& staged) {
+                                const PreparedDataset& data) {
   EPGS_CHECK(!cfg.systems.empty(), "no systems configured");
   EPGS_CHECK(!cfg.algorithms.empty(), "no algorithms configured");
-  EPGS_CHECK(staged.edges != nullptr, "no staged edges");
   const SupervisorOptions& sup = cfg.supervisor;
-  const EdgeList& el = *staged.edges;
+  const EdgeList& el = data.edges;
 
   ExperimentResult result;
-  result.used_dataset_pipeline = staged.files != nullptr;
-  result.dataset_cache_hit = staged.cache_hit;
+  result.used_dataset_pipeline = !data.entry.files.files.empty();
+  result.dataset_cache_hit = data.cache_hit;
+  // A sick cache (disk full, lock timeout, I/O error) leaves no native
+  // files: the sweep runs anyway from RAM and the result carries a
+  // warning.
+  result.dataset_degraded = data.degraded;
+  result.dataset_warning = data.degradation;
 
   result.roots = select_roots(el, cfg.num_roots, cfg.root_seed);
 
@@ -387,7 +362,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   // Plan: every unit and every data-path/rebuild/replay decision, up
   // front.
-  const SweepPlan plan = plan_sweep(cfg, staged.files, collector.journaled());
+  const SweepPlan plan =
+      plan_sweep(cfg, &data.entry.files, collector.journaled());
 
   // Pin the worker team before any kernel runs. OpenMP pools its team
   // threads, so binds applied here stick for every later parallel

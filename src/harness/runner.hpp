@@ -4,8 +4,8 @@
 // The runner is split into three stages:
 //
 //   plan    — sweep_plan.hpp enumerates every (system, algorithm, trial)
-//             unit and resolves data-path / cache / journal-replay /
-//             rebuild decisions up front;
+//             unit and resolves native-file / journal-replay / rebuild
+//             decisions up front;
 //   execute — run_experiment drives each planned unit through the trial
 //             supervisor, reading everything back by *serialising each
 //             system's phase log to text and parsing it* (the original
@@ -14,6 +14,7 @@
 //             flat phase records; records.hpp renders them as CSV.
 #pragma once
 
+#include "harness/dataset_pipeline.hpp"
 #include "harness/experiment.hpp"
 #include "harness/records.hpp"
 
@@ -21,31 +22,20 @@ namespace epgs::harness {
 
 /// Run the experiment. Throws EpgsError on configuration errors; systems
 /// lacking a requested algorithm are skipped for that algorithm (the
-/// paper's plots simply omit those bars). When cfg.dataset is enabled the
-/// run goes through the zero-copy dataset pipeline: the graph is
-/// materialized once into the content-addressed cache and every
-/// separate-construction system loads its own native file (so "file read"
-/// times real I/O).
+/// paper's plots simply omit those bars). The graph is staged once by
+/// prepare_dataset(cfg.graph, cfg.dataset): with a cache dir every
+/// system loads its own native file (so "file read" times real I/O),
+/// without one the systems are staged from the in-RAM edges.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-/// A dataset the caller already holds in RAM. The serve layer keeps
-/// graphs warm across requests (see src/serve/graph_session.hpp) and runs
-/// each request through this overload, skipping the generate/load phase
-/// that dominates one-shot sweeps. `edges` must outlive the call;
-/// `files`, when non-null, routes separate-construction systems through
-/// their homogenized native files exactly like a cache hit would.
-struct StagedDataset {
-  const EdgeList* edges = nullptr;
-  const HomogenizedDataset* files = nullptr;  ///< null = in-RAM data path
-  bool cache_hit = false;  ///< reported as ExperimentResult::dataset_cache_hit
-};
-
-/// Run the experiment on a pre-staged dataset: identical planning,
-/// supervision, and record collection to run_experiment(cfg), minus the
-/// materialize step. Apart from the timing columns, the records are
-/// byte-identical to what a cold run of the same config would produce —
-/// the property the serve end-to-end tests pin down.
+/// Run the experiment on a dataset the caller already staged. The serve
+/// layer keeps prepared datasets warm across requests (see
+/// src/serve/graph_session.hpp) and runs each request through this
+/// overload, skipping the generate/load step that dominates one-shot
+/// sweeps. Apart from the timing columns, the records are byte-identical
+/// to what run_experiment(cfg) produces — the property the serve
+/// end-to-end tests pin down.
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const StagedDataset& staged);
+                                const PreparedDataset& data);
 
 }  // namespace epgs::harness

@@ -31,8 +31,6 @@ SweepPlan plan_sweep(const ExperimentConfig& cfg,
   plan.dataset = cfg.graph.name();
   plan.fingerprint = config_fingerprint(cfg);
   plan.threads = cfg.threads > 0 ? cfg.threads : max_threads();
-  plan.data_path =
-      files != nullptr ? DataPath::kNativeFile : DataPath::kInMemory;
 
   for (const auto& system_name : cfg.systems) {
     SystemPlan sp;
@@ -57,7 +55,7 @@ SweepPlan plan_sweep(const ExperimentConfig& cfg,
     sp.build_replayed = journaled.count(sp.build_key) != 0;
     sp.load_key = system_name + "|load|-1";
     sp.load_replayed = journaled.count(sp.load_key) != 0;
-    if (files != nullptr) {
+    if (files != nullptr && !files->files.empty()) {
       sp.native_file = files->path(sys->native_format());
     }
 

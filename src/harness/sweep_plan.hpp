@@ -1,7 +1,7 @@
 // Plan stage of the runner: enumerate every supervised unit of a sweep —
 // (system, algorithm, trial) plus the per-system load/build units — and
 // resolve the decisions that used to be interleaved with execution:
-// which data path feeds each system, which units a resumed journal
+// which native file (if any) each system loads, which units a resumed journal
 // already covers, and which systems rebuild per trial.
 //
 // The plan is pure data; executing it (runner.cpp) and collecting its
@@ -17,12 +17,6 @@
 #include "harness/supervisor.hpp"
 
 namespace epgs::harness {
-
-/// How graph data reaches the systems.
-enum class DataPath {
-  kInMemory,    ///< legacy: stage the generated EdgeList from RAM
-  kNativeFile,  ///< zero-copy pipeline: each system loads its native file
-};
 
 /// One (system, algorithm, trial) unit.
 struct PlannedTrial {
@@ -47,7 +41,8 @@ struct SystemPlan {
   bool build_replayed = false;
   std::string load_key;        ///< "system|load|-1" file-read unit key
   bool load_replayed = false;
-  /// Native-format file for the kNativeFile path; empty in RAM mode.
+  /// Native-format file the system loads; empty when it is staged from
+  /// the in-RAM edges instead.
   std::filesystem::path native_file;
   std::vector<PlannedTrial> trials;  ///< replayed units excluded
 };
@@ -56,12 +51,11 @@ struct SweepPlan {
   std::string dataset;
   std::string fingerprint;  ///< config fingerprint (journal identity)
   int threads = 0;
-  DataPath data_path = DataPath::kInMemory;
   std::vector<SystemPlan> systems;
 };
 
-/// Build the plan. `files` selects the data path: nullptr plans the
-/// legacy in-memory sweep; a homogenized dataset plans native-file loads.
+/// Build the plan. A homogenized dataset in `files` plans native-file
+/// loads; nullptr or an empty one plans systems staged from RAM.
 /// `journaled` (from a replayed journal) marks units that must not re-run.
 SweepPlan plan_sweep(const ExperimentConfig& cfg,
                      const HomogenizedDataset* files,

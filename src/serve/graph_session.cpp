@@ -42,17 +42,8 @@ std::shared_ptr<const ResidentGraph> GraphStore::acquire(
   g->spec = spec;
   g->fingerprint = fp;
   g->name = spec.name();
-  if (dataset_.enabled()) {
-    harness::PreparedDataset prep = harness::prepare_dataset(spec, dataset_);
-    g->edges = std::move(prep.edges);
-    if (!prep.degraded) {
-      g->files = std::move(prep.entry.files);
-      g->from_cache_hit = prep.cache_hit;
-    }
-  } else {
-    g->edges = harness::materialize(spec);
-  }
-  g->bytes = edge_list_bytes(g->edges);
+  g->data = harness::prepare_dataset(spec, dataset_);
+  g->bytes = edge_list_bytes(g->data.edges);
   g->load_seconds = timer.seconds();
 
   std::lock_guard<std::mutex> lk(mutex_);

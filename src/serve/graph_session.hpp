@@ -35,12 +35,10 @@ struct ResidentGraph {
   harness::GraphSpec spec;
   std::string fingerprint;
   std::string name;
-  EdgeList edges;
-  /// Native per-system files when the dataset cache is enabled; empty
-  /// optional = in-RAM data path.
-  std::optional<HomogenizedDataset> files;
-  bool from_cache_hit = false;
-  std::uint64_t bytes = 0;         ///< accounted footprint of `edges`
+  /// Edges plus, when the store has a cache dir, every system's native
+  /// file — exactly what run_experiment stages a one-shot sweep from.
+  harness::PreparedDataset data;
+  std::uint64_t bytes = 0;         ///< accounted footprint of the edges
   double load_seconds = 0.0;       ///< cold materialization cost
 };
 
@@ -49,10 +47,9 @@ struct ResidentGraph {
 
 class GraphStore {
  public:
-  /// `dataset`: when enabled, cold loads go through the content-addressed
-  /// on-disk cache (prepare_dataset) so a server restart finds warm files
-  /// even though RAM residency is gone. `max_resident_bytes` of 0 means
-  /// unbounded.
+  /// `dataset`: cold loads stage through prepare_dataset, so with a cache
+  /// dir a server restart finds warm files even though RAM residency is
+  /// gone. `max_resident_bytes` of 0 means unbounded.
   GraphStore(harness::DatasetOptions dataset,
              std::uint64_t max_resident_bytes, Metrics& metrics);
 

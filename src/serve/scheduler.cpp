@@ -167,13 +167,8 @@ void Scheduler::execute(Batch& batch) {
     cfg.validate = opts_.validate;
     cfg.supervisor = sup;
 
-    harness::StagedDataset staged;
-    staged.edges = &graph->edges;
-    staged.files = graph->files ? &*graph->files : nullptr;
-    staged.cache_hit = graph->from_cache_hit;
-
     const harness::ExperimentResult result =
-        harness::run_experiment(cfg, staged);
+        harness::run_experiment(cfg, graph->data);
     const bool timed_out = has_timeout_rows(result.records);
     const std::string csv = harness::records_to_csv(result.records);
 

@@ -430,7 +430,6 @@ constexpr vid_t kPrAutoBlockedThreshold = 1u << 22;
 }  // namespace
 
 PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
-  if (opts_.pr_mode == PrMode::kLegacy) return pagerank_legacy(params);
   const vid_t n = out_.num_vertices();
   PageRankResult r;
   if (n == 0) return r;
@@ -569,59 +568,6 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
   run.finish();
 
   r.rank.assign(rank.begin(), rank.end());
-  work_.edges_processed = edge_work;
-  work_.vertex_updates = static_cast<std::uint64_t>(n) * r.iterations;
-  work_.bytes_touched = edge_work * (sizeof(vid_t) + sizeof(double));
-  return r;
-}
-
-// The seed's pull kernel, verbatim: per-edge division, OpenMP
-// reduction(+) for dangling mass and L1 (combine order unspecified, so
-// results drift in the last bits across thread counts). Baseline side
-// of the BM_PageRank microbenchmark.
-PageRankResult GapSystem::pagerank_legacy(const PageRankParams& params) {
-  const vid_t n = out_.num_vertices();
-  PageRankResult r;
-  r.rank.assign(n, n > 0 ? 1.0 / n : 0.0);
-  std::vector<double> next(n);
-  std::uint64_t edge_work = 0;
-
-  // Accessor form: r.rank swaps with the scratch buffer each iteration.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<double, int>(
-      static_cast<std::size_t>(n), [&](std::size_t v) { return r.rank[v]; },
-      [&](std::size_t v, double x) { r.rank[v] = x; }, &r.iterations,
-      &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
-  run.watch_edges(&edge_work);
-  const auto start_it = static_cast<int>(run.resumed());
-
-  for (int it = start_it; it < params.max_iterations; ++it) {
-    run.iteration(static_cast<std::uint64_t>(it), n);  // snapshot point
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      if (out_.degree(static_cast<vid_t>(v)) == 0) dangling += r.rank[v];
-    }
-    const double base =
-        (1.0 - params.damping) / n + params.damping * dangling / n;
-
-    double l1 = 0.0;
-#pragma omp parallel for reduction(+ : l1) schedule(dynamic, 1024)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      double sum = 0.0;
-      for (const vid_t u : in_.neighbors(static_cast<vid_t>(v))) {
-        sum += r.rank[u] / static_cast<double>(out_.degree(u));
-      }
-      next[v] = base + params.damping * sum;
-      l1 += std::abs(next[v] - r.rank[v]);
-    }
-    r.rank.swap(next);
-    ++r.iterations;
-    edge_work += in_.num_edges();
-    run.residual(l1);
-    if (l1 < params.epsilon) break;
-  }
-  run.finish();
   work_.edges_processed = edge_work;
   work_.vertex_updates = static_cast<std::uint64_t>(n) * r.iterations;
   work_.bytes_touched = edge_work * (sizeof(vid_t) + sizeof(double));

@@ -33,10 +33,7 @@ class GapSystem final : public System {
   ///             thread count.
   ///  kAuto    — kBlocked once the rank+contrib working set outgrows the
   ///             last-level cache, kPull below that.
-  ///  kLegacy  — the pre-locality-overhaul kernel (per-edge division,
-  ///             nondeterministic OpenMP reductions), kept as the
-  ///             baseline side of the PageRank microbenchmark.
-  enum class PrMode { kAuto, kPull, kBlocked, kLegacy };
+  enum class PrMode { kAuto, kPull, kBlocked };
 
   struct Options {
     double alpha = 15.0;  ///< top-down -> bottom-up switch threshold
@@ -88,8 +85,6 @@ class GapSystem final : public System {
   BcResult do_bc(vid_t source) override;
 
  private:
-  PageRankResult pagerank_legacy(const PageRankParams& params);
-
   Options opts_;
   CSRGraph out_;
   CSRGraph in_;

@@ -26,18 +26,11 @@ namespace fs = std::filesystem;
 
 class ConcurrencyDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("epgs_concurrency_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 TEST_F(ConcurrencyDir, FlockBlocksSecondProcessUntilRelease) {
-  const fs::path lock = dir_ / "entry.lock";
+  const fs::path lock = dir_.path() / "entry.lock";
   CacheLock mine;
   ASSERT_TRUE(mine.acquire(lock, 1.0));
   EXPECT_TRUE(mine.held());
@@ -65,7 +58,7 @@ TEST_F(ConcurrencyDir, FlockBlocksSecondProcessUntilRelease) {
 }
 
 TEST_F(ConcurrencyDir, DeadHolderLockIsStolenImmediately) {
-  const fs::path lock = dir_ / "entry.lock";
+  const fs::path lock = dir_.path() / "entry.lock";
   // The child takes the lock and dies holding it; the kernel's flock
   // auto-release IS the stale-lock steal.
   const pid_t pid = ::fork();
@@ -93,7 +86,7 @@ TEST_F(ConcurrencyDir, DeadHolderLockIsStolenImmediately) {
 
 TEST_F(ConcurrencyDir, ConcurrentMaterializeElectsExactlyOneBuilder) {
   constexpr int kProcs = 4;
-  const fs::path cache_dir = dir_ / "cache";
+  const fs::path cache_dir = dir_.path() / "cache";
   const std::string fingerprint = "concurrency-stress-v1";
 
   std::vector<pid_t> pids;
@@ -128,7 +121,7 @@ TEST_F(ConcurrencyDir, ConcurrentMaterializeElectsExactlyOneBuilder) {
     } catch (...) {
       exit_code = 3;
     }
-    std::ofstream(dir_ / ("result_" + std::to_string(i) + ".txt"))
+    std::ofstream(dir_.path() / ("result_" + std::to_string(i) + ".txt"))
         << (built ? 1 : 0) << ' '
         << (digest.empty() ? "none" : digest) << '\n';
     ::_exit(exit_code);
@@ -144,7 +137,7 @@ TEST_F(ConcurrencyDir, ConcurrentMaterializeElectsExactlyOneBuilder) {
   int builders = 0;
   std::vector<std::string> digests;
   for (int i = 0; i < kProcs; ++i) {
-    std::ifstream in(dir_ / ("result_" + std::to_string(i) + ".txt"));
+    std::ifstream in(dir_.path() / ("result_" + std::to_string(i) + ".txt"));
     ASSERT_TRUE(in.good()) << "child " << i << " left no result";
     int built = -1;
     std::string digest;

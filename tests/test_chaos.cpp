@@ -6,7 +6,6 @@
 #include "harness/chaos/chaos.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -18,6 +17,7 @@
 #include "core/error.hpp"
 #include "harness/chaos/schedule.hpp"
 #include "harness/chaos/shrink.hpp"
+#include "test_util.hpp"
 
 namespace epgs::harness::chaos {
 namespace {
@@ -225,14 +225,6 @@ TEST(ChaosShrink, ResultIsOneMinimal) {
 
 class ChaosRun : public ::testing::Test {
  protected:
-  void SetUp() override {
-    work_ = fs::temp_directory_path() /
-            ("epgs_chaos_" + std::to_string(::getpid()));
-    fs::remove_all(work_);
-    fs::create_directories(work_);
-  }
-  void TearDown() override { fs::remove_all(work_); }
-
   /// The smallest real sweep that exercises validation + checkpoints:
   /// one frontier system, BFS (validated per trial), two roots.
   [[nodiscard]] static ExperimentConfig tiny_config() {
@@ -247,12 +239,12 @@ class ChaosRun : public ::testing::Test {
     return cfg;
   }
 
-  fs::path work_;
+  test::TempDir work_;
 };
 
 TEST_F(ChaosRun, ReplayedScheduleHoldsTheInvariant) {
   ChaosOptions opts;
-  opts.work_dir = work_.string();
+  opts.work_dir = work_.path().string();
   opts.max_retries = 2;
   // One round, one transient fault on the only unit family: the retry
   // must absorb it and the stripped CSV must match the control exactly.
@@ -271,7 +263,7 @@ TEST_F(ChaosRun, ReplayedScheduleHoldsTheInvariant) {
 
 TEST_F(ChaosRun, ForcedViolationIsDetectedAndShrinksToOneEvent) {
   ChaosOptions opts;
-  opts.work_dir = work_.string();
+  opts.work_dir = work_.path().string();
   opts.max_retries = 1;
   opts.shrink = true;
   opts.force_violation = true;

@@ -80,27 +80,19 @@ TEST(Checkpoint, StateReaderRejectsMismatches) {
 
 class CheckpointDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("epgs_ckpt_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    fault::disarm_all();
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { fault::disarm_all(); }
 
   [[nodiscard]] CheckpointConfig config(const std::string& key = "u|0",
                                         int every = 1) const {
     CheckpointConfig cfg;
-    cfg.dir = dir_.string();
+    cfg.dir = dir_.path().string();
     cfg.unit_key = key;
     cfg.fingerprint = "fp";
     cfg.every_iterations = every;
     return cfg;
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 /// A toy kernel state: a counter and a vector.
@@ -180,7 +172,7 @@ TEST_F(CheckpointDir, CorruptSnapshotInvalidatedWithWarning) {
     EXPECT_TRUE(s.tick(2));
     s.detach();
   }
-  const fs::path p = CheckpointSession::path_for(dir_, "u|0");
+  const fs::path p = CheckpointSession::path_for(dir_.path(), "u|0");
   ASSERT_TRUE(fs::exists(p));
   {
     // Flip one payload byte: the CRC must catch it.
@@ -205,7 +197,7 @@ TEST_F(CheckpointDir, TornSnapshotInvalidated) {
     EXPECT_TRUE(s.tick(1));
     s.detach();
   }
-  const fs::path p = CheckpointSession::path_for(dir_, "u|0");
+  const fs::path p = CheckpointSession::path_for(dir_.path(), "u|0");
   fs::resize_file(p, fs::file_size(p) / 2);
   CheckpointSession s(config());
   ToyState state;
@@ -269,7 +261,7 @@ TEST_F(CheckpointDir, KillAtFirstPublishLeavesNoSnapshot) {
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  const fs::path p = CheckpointSession::path_for(dir_, "pub|1");
+  const fs::path p = CheckpointSession::path_for(dir_.path(), "pub|1");
   EXPECT_EQ(CheckpointSession::peek_iteration(p), -1)
       << "the unpublished tmp write must not be visible as a snapshot";
   CheckpointSession s(cfg);
@@ -298,7 +290,7 @@ TEST_F(CheckpointDir, KillAtSecondPublishKeepsPriorValidSnapshot) {
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  const fs::path p = CheckpointSession::path_for(dir_, "pub|2");
+  const fs::path p = CheckpointSession::path_for(dir_.path(), "pub|2");
   ASSERT_EQ(CheckpointSession::peek_iteration(p), 1)
       << "the previous published snapshot must survive the torn publish";
   CheckpointSession s(cfg);
@@ -310,10 +302,10 @@ TEST_F(CheckpointDir, KillAtSecondPublishKeepsPriorValidSnapshot) {
 }
 
 TEST_F(CheckpointDir, PathForSanitizesAndDisambiguatesKeys) {
-  const auto a = CheckpointSession::path_for(dir_, "GAP|BFS|0");
-  const auto b = CheckpointSession::path_for(dir_, "GAP|BFS/0");
+  const auto a = CheckpointSession::path_for(dir_.path(), "GAP|BFS|0");
+  const auto b = CheckpointSession::path_for(dir_.path(), "GAP|BFS/0");
   EXPECT_NE(a, b) << "different keys must map to different files";
-  EXPECT_EQ(a.parent_path(), dir_);
+  EXPECT_EQ(a.parent_path(), dir_.path());
   EXPECT_EQ(a.extension(), ".ckpt");
   EXPECT_EQ(a.filename().string().find('|'), std::string::npos);
   EXPECT_EQ(b.filename().string().find('/'), std::string::npos);

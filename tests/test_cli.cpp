@@ -3,7 +3,6 @@
 #include "cli/commands.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -14,26 +13,14 @@
 #include "graph/snap_io.hpp"
 #include "harness/runner.hpp"
 #include "systems/common/fault_injection.hpp"
+#include "test_util.hpp"
 
 namespace epgs::cli {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  TempDir() : path_(fs::temp_directory_path() /
-                    ("epgs_cli_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter_++))) {
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
+using test::TempDir;
 
 int run_cli(const std::vector<std::string>& argv, std::string* out = nullptr) {
   std::ostringstream o, e;
@@ -356,6 +343,10 @@ TEST(Cli, PrepareMissThenHit) {
   EXPECT_NE(out.find("cache miss"), std::string::npos);
   ASSERT_EQ(run_cli(argv, &out), 0) << out;
   EXPECT_NE(out.find("cache hit"), std::string::npos);
+  // An empty cache dir would warm nothing: refused, not a silent no-op.
+  EXPECT_NE(run_cli({"prepare", "--kind", "kron", "--scale", "6",
+                     "--cache-dir="}),
+            0);
 }
 
 TEST(Cli, RunCacheDirWarmHitAndNoCacheBypass) {
@@ -381,8 +372,8 @@ TEST(Cli, RunCacheDirWarmHitAndNoCacheBypass) {
   ASSERT_EQ(run_cli(with({"--cache-dir", cache}), &out), 0) << out;
   EXPECT_NE(out.find("cache hit"), std::string::npos);
 
-  ASSERT_EQ(run_cli(with({"--cache-dir", cache, "--no-cache"}), &out), 0)
-      << out;
+  // Without --cache-dir the run bypasses the cache entirely.
+  ASSERT_EQ(run_cli(base, &out), 0) << out;
   EXPECT_EQ(out.find("cache hit"), std::string::npos) << out;
   EXPECT_EQ(out.find("cache miss"), std::string::npos) << out;
 }

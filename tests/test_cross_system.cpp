@@ -360,15 +360,9 @@ TEST(PrVariants, GapPullAndBlockedBitIdentical) {
   };
   const auto pull = run(systems::GapSystem::PrMode::kPull);
   const auto blocked = run(systems::GapSystem::PrMode::kBlocked);
-  const auto legacy = run(systems::GapSystem::PrMode::kLegacy);
   ASSERT_EQ(pull.size(), blocked.size());
   for (std::size_t v = 0; v < pull.size(); ++v) {
     ASSERT_EQ(pull[v], blocked[v]) << "vertex " << v;
-  }
-  // Legacy reorders the sums, so only tolerance equality holds there.
-  for (std::size_t v = 0; v < pull.size(); ++v) {
-    ASSERT_NEAR(pull[v], legacy[v], 1e-12 + 1e-9 * legacy[v])
-        << "vertex " << v;
   }
 }
 

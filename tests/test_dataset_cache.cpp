@@ -3,7 +3,6 @@
 #include "graph/dataset_cache.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -20,20 +19,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  TempDir() : path_(fs::temp_directory_path() /
-                    ("epgs_cache_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter_++))) {
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
+using test::TempDir;
 
 EdgeList sample_graph(bool weighted = true) {
   auto el = test::line_graph(9, weighted);

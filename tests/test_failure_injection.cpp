@@ -2,7 +2,6 @@
 // format; all readers must fail loudly (EpgsError) rather than return
 // garbage — the harness depends on files it did not write.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -22,15 +21,8 @@ namespace fs = std::filesystem;
 class FormatCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    // PID-unique dir: ctest -j runs several of these tests in separate
-    // processes concurrently, and a shared path makes SetUp/TearDown
-    // of one test delete another's files mid-run.
-    dir_ = fs::temp_directory_path() /
-           ("epgs_failinj_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-    ds_ = homogenize(test::line_graph(10, /*weighted=*/true), "g", dir_);
+    ds_ = homogenize(test::line_graph(10, /*weighted=*/true), "g", dir_.path());
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   /// Truncate a file to `keep` bytes. Returns failure (for ASSERT_TRUE)
   /// when the file cannot be sized or resized: corrupting nothing would
@@ -67,7 +59,7 @@ class FormatCorruption : public ::testing::Test {
     return ::testing::AssertionSuccess();
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
   HomogenizedDataset ds_;
 };
 
@@ -105,7 +97,7 @@ TEST_F(FormatCorruption, MtxEdgeCountMismatchRejected) {
 }
 
 TEST_F(FormatCorruption, MtxZeroIndexRejected) {
-  const auto p = dir_ / "zero.mtx";
+  const auto p = dir_.path() / "zero.mtx";
   std::ofstream f(p);
   f << "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n0 1\n";
   f.close();
@@ -155,7 +147,7 @@ TEST_F(FormatCorruption, LigraAdjTruncatedRejected) {
 }
 
 TEST_F(FormatCorruption, LigraAdjOutOfRangeTargetRejected) {
-  const auto p = dir_ / "bad.adj";
+  const auto p = dir_.path() / "bad.adj";
   std::ofstream f(p);
   f << "AdjacencyGraph\n2\n1\n0\n1\n99\n";  // target 99 in a 2-vertex graph
   f.close();

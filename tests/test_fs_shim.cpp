@@ -5,7 +5,6 @@
 #include "core/fs_shim.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -14,6 +13,7 @@
 
 #include "core/error.hpp"
 #include "core/mapped_file.hpp"
+#include "test_util.hpp"
 
 namespace epgs {
 namespace {
@@ -22,18 +22,10 @@ namespace fs = std::filesystem;
 
 class FsShimDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("epgs_fsshim_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    fsx::disarm();
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { fsx::disarm(); }
 
   [[nodiscard]] fs::path file(const std::string& name) const {
-    return dir_ / name;
+    return dir_.path() / name;
   }
 
   static std::string slurp(const fs::path& p) {
@@ -43,7 +35,7 @@ class FsShimDir : public ::testing::Test {
     return buf.str();
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 TEST_F(FsShimDir, OutStreamWritesFormattedAndRawBytes) {
@@ -174,8 +166,8 @@ TEST_F(FsShimDir, OpenInjectionAndRealRenameWork) {
   fsx::rename(file("from.txt"), file("to.txt"));
   EXPECT_EQ(slurp(file("to.txt")), "z");
   fsx::fsync_path(file("to.txt"));
-  fsx::fsync_dir(dir_);
-  EXPECT_GT(fsx::free_disk_bytes(dir_), 0u);
+  fsx::fsync_dir(dir_.path());
+  EXPECT_GT(fsx::free_disk_bytes(dir_.path()), 0u);
 }
 
 TEST_F(FsShimDir, MmapFaultFallsBackToIdenticalBufferedRead) {

@@ -55,17 +55,14 @@ class HomogenizerRoundTrip
 
 TEST_P(HomogenizerRoundTrip, EdgesSurviveAsMultiset) {
   const auto [fmt, weighted] = GetParam();
-  const auto dir = fs::temp_directory_path() /
-                   ("epgs_homog_" + std::string(format_name(fmt)) +
-                    (weighted ? "_w" : "_u"));
+  const test::TempDir dir;
   const auto el = input(weighted);
-  const auto back = round_trip(fmt, el, dir);
+  const auto back = round_trip(fmt, el, dir.path());
 
   EXPECT_EQ(back.num_vertices, el.num_vertices)
       << "format " << format_name(fmt);
   EXPECT_EQ(back.weighted, el.weighted);
   EXPECT_EQ(canonical(back.edges), canonical(el.edges));
-  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -85,13 +82,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Homogenizer, ProducesAllSevenFormats) {
-  const auto dir = fs::temp_directory_path() / "epgs_homog_all";
-  const auto ds = homogenize(test::two_triangles(), "tri", dir);
+  const test::TempDir dir;
+  const auto ds = homogenize(test::two_triangles(), "tri", dir.path());
   EXPECT_EQ(ds.files.size(), 7u);
   for (const auto& [fmt, path] : ds.files) {
     EXPECT_TRUE(fs::exists(path)) << format_name(fmt);
   }
-  fs::remove_all(dir);
 }
 
 TEST(Homogenizer, PathThrowsForMissingFormat) {
@@ -119,28 +115,25 @@ TEST(Homogenizer, GapSgNormalisesToSortedCsrOrder) {
   EdgeList el;
   el.num_vertices = 3;
   el.edges = {Edge{2, 0, 1.0f}, Edge{0, 2, 1.0f}, Edge{0, 1, 1.0f}};
-  const auto dir = fs::temp_directory_path() / "epgs_homog_sg";
-  fs::create_directories(dir);
-  write_gap_sg(dir / "g.sg", el);
-  const auto back = read_gap_sg(dir / "g.sg");
+  const test::TempDir dir;
+  write_gap_sg(dir.path() / "g.sg", el);
+  const auto back = read_gap_sg(dir.path() / "g.sg");
   ASSERT_EQ(back.edges.size(), 3u);
   EXPECT_TRUE(std::is_sorted(back.edges.begin(), back.edges.end(),
                              [](const Edge& a, const Edge& b) {
                                return a.src != b.src ? a.src < b.src
                                                      : a.dst < b.dst;
                              }));
-  fs::remove_all(dir);
 }
 
 TEST(Homogenizer, GraphMatMtxIsOneIndexed) {
   EdgeList el;
   el.num_vertices = 2;
   el.edges = {Edge{0, 1, 1.0f}};
-  const auto dir = fs::temp_directory_path() / "epgs_homog_mtx";
-  fs::create_directories(dir);
-  write_graphmat_mtx(dir / "g.mtx", el);
+  const test::TempDir dir;
+  write_graphmat_mtx(dir.path() / "g.mtx", el);
 
-  std::ifstream in(dir / "g.mtx");
+  std::ifstream in(dir.path() / "g.mtx");
   std::string header, sizes, edge;
   std::getline(in, header);
   std::getline(in, sizes);
@@ -148,26 +141,19 @@ TEST(Homogenizer, GraphMatMtxIsOneIndexed) {
   EXPECT_NE(header.find("MatrixMarket"), std::string::npos);
   EXPECT_EQ(sizes, "2 2 1");
   EXPECT_EQ(edge, "1 2");
-  fs::remove_all(dir);
 }
 
 /// Malformed numerics must raise a typed ParseError, not silently default
 /// the field (the old sscanf/istringstream readers did the latter).
 class ReaderRejection : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() / "epgs_homog_reject";
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   fs::path write(const std::string& name, const std::string& text) {
-    const auto p = dir_ / name;
+    const auto p = dir_.path() / name;
     std::ofstream(p) << text;
     return p;
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 TEST_F(ReaderRejection, MtxBadIndexAndWeight) {
@@ -191,7 +177,7 @@ TEST_F(ReaderRejection, PowerGraphTsvBadFields) {
 
 TEST_F(ReaderRejection, GraphBigCsvBadFieldsAndTrailingJunk) {
   const auto mk = [&](const std::string& edge_csv) {
-    const auto d = dir_ / "gb";
+    const auto d = dir_.path() / "gb";
     fs::create_directories(d);
     std::ofstream(d / "vertex.csv") << "id\n0\n1\n";
     std::ofstream(d / "edge.csv") << edge_csv;
@@ -220,12 +206,12 @@ TEST_F(ReaderRejection, BinaryTruncationDetected) {
   EdgeList el;
   el.num_vertices = 3;
   el.edges = {Edge{0, 1, 1.0f}, Edge{1, 2, 1.0f}};
-  const auto g500 = dir_ / "g.g500";
+  const auto g500 = dir_.path() / "g.g500";
   write_graph500_bin(g500, el);
   fs::resize_file(g500, fs::file_size(g500) - 3);
   EXPECT_THROW(read_graph500_bin(g500), EpgsError);
 
-  const auto sg = dir_ / "g.sg";
+  const auto sg = dir_.path() / "g.sg";
   write_gap_sg(sg, el);
   fs::resize_file(sg, fs::file_size(sg) - 3);
   EXPECT_THROW(read_gap_sg(sg), EpgsError);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "core/error.hpp"
@@ -64,25 +63,23 @@ TEST(SnapIo, WriteIncludesHeaderComment) {
 }
 
 TEST(SnapIo, FileRoundTripUnweighted) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "epgs_snap_rt.snap";
+  const test::TempDir dir;
+  const auto path = dir.path() / "rt.snap";
   const auto original = test::two_triangles();
   write_snap_file(path, original);
   const auto back = read_snap_file(path);
   EXPECT_EQ(back.num_vertices, original.num_vertices);
   EXPECT_EQ(back.edges, original.edges);
-  std::filesystem::remove(path);
 }
 
 TEST(SnapIo, FileRoundTripWeighted) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "epgs_snap_w.snap";
+  const test::TempDir dir;
+  const auto path = dir.path() / "w.snap";
   const auto original = test::line_graph(5, /*weighted=*/true);
   write_snap_file(path, original);
   const auto back = read_snap_file(path);
   ASSERT_TRUE(back.weighted);
   EXPECT_EQ(back.edges, original.edges);
-  std::filesystem::remove(path);
 }
 
 TEST(SnapIo, MissingFileThrows) {

@@ -7,6 +7,7 @@
 #include "graph/homogenizer.hpp"
 #include "harness/runner.hpp"
 #include "systems/common/registry.hpp"
+#include "test_util.hpp"
 
 namespace epgs::graphalytics {
 namespace {
@@ -33,8 +34,8 @@ harness::GraphSpec small_kron(bool weighted) {
 }
 
 TEST(Graphalytics, ReportHasCellsForAllSystems) {
-  const auto dir = fs::temp_directory_path() / "epgs_galy_cells";
-  const auto report = run(small_kron(true), small_options(dir));
+  const test::TempDir dir;
+  const auto report = run(small_kron(true), small_options(dir.path()));
   EXPECT_EQ(report.cells.size(), 3u);
   for (const auto& [system, row] : report.cells) {
     EXPECT_EQ(row.size(), 4u) << system;
@@ -43,18 +44,16 @@ TEST(Graphalytics, ReportHasCellsForAllSystems) {
   EXPECT_FALSE(report.cells.at("PowerGraph").at("BFS").available);
   EXPECT_TRUE(report.cells.at("GraphMat").at("BFS").available);
   EXPECT_TRUE(report.cells.at("GraphBIG").at("BFS").available);
-  fs::remove_all(dir);
 }
 
 TEST(Graphalytics, SsspNaOnUnweightedDatasets) {
   // Table I: the cit-Patents SSSP column is N/A because the dataset is
   // unweighted.
-  const auto dir = fs::temp_directory_path() / "epgs_galy_na";
-  const auto report = run(small_kron(false), small_options(dir));
+  const test::TempDir dir;
+  const auto report = run(small_kron(false), small_options(dir.path()));
   for (const auto& [system, row] : report.cells) {
     EXPECT_FALSE(row.at("SSSP").available) << system;
   }
-  fs::remove_all(dir);
 }
 
 TEST(Graphalytics, GraphMatChargedForFileReadButGraphBigIsNot) {
@@ -62,10 +61,10 @@ TEST(Graphalytics, GraphMatChargedForFileReadButGraphBigIsNot) {
   // against the systems' own phase logs: GraphMat's reported number
   // includes its file read and graph build; GraphBIG's excludes its
   // (fused) read+build entirely.
-  const auto dir = fs::temp_directory_path() / "epgs_galy_flaw";
+  const test::TempDir dir;
   const auto spec = small_kron(true);
   const auto el = harness::materialize(spec);
-  const auto files = homogenize(el, "flaw", dir);
+  const auto files = homogenize(el, "flaw", dir.path());
 
   auto gm = make_system("GraphMat");
   gm->load_file(files.path(gm->native_format()));
@@ -87,12 +86,11 @@ TEST(Graphalytics, GraphMatChargedForFileReadButGraphBigIsNot) {
   EXPECT_GT(gb->log().total(phase::kBuild), 0.0);
   EXPECT_DOUBLE_EQ(gb_cell, gb->log().total(phase::kAlgorithm))
       << "GraphBIG's cell must exclude the fused read+build";
-  fs::remove_all(dir);
 }
 
 TEST(Graphalytics, GraphMatLogExcerptPresent) {
-  const auto dir = fs::temp_directory_path() / "epgs_galy_log";
-  auto opts = small_options(dir);
+  const test::TempDir dir;
+  auto opts = small_options(dir.path());
   opts.algorithms = {Algorithm::kPageRank};
   const auto report = run(small_kron(true), opts);
   ASSERT_FALSE(report.graphmat_log_excerpt.empty());
@@ -103,12 +101,11 @@ TEST(Graphalytics, GraphMatLogExcerptPresent) {
   }
   EXPECT_TRUE(has_file_read);
   EXPECT_TRUE(has_load);
-  fs::remove_all(dir);
 }
 
 TEST(Graphalytics, RenderersProduceOutput) {
-  const auto dir = fs::temp_directory_path() / "epgs_galy_render";
-  auto opts = small_options(dir);
+  const test::TempDir dir;
+  auto opts = small_options(dir.path());
   opts.algorithms = {Algorithm::kWcc};
   const auto report = run(small_kron(false), opts);
 
@@ -120,7 +117,6 @@ TEST(Graphalytics, RenderersProduceOutput) {
   EXPECT_EQ(html.rfind("<!DOCTYPE html>", 0), 0u);
   EXPECT_NE(html.find("<table"), std::string::npos);
   EXPECT_NE(html.find("GraphBIG"), std::string::npos);
-  fs::remove_all(dir);
 }
 
 TEST(Graphalytics, EmptyConfigRejected) {

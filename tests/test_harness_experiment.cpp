@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <set>
 
 #include "core/error.hpp"
@@ -72,8 +71,8 @@ TEST(Materialize, WeightsOnRequest) {
 }
 
 TEST(Materialize, SnapFilePassThrough) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto path = dir / "epgs_mat.snap";
+  const test::TempDir dir;
+  const auto path = dir.path() / "mat.snap";
   write_snap_file(path, test::two_triangles());
   GraphSpec spec;
   spec.kind = GraphSpec::Kind::kSnapFile;
@@ -83,7 +82,6 @@ TEST(Materialize, SnapFilePassThrough) {
   const auto el = materialize(spec);
   EXPECT_EQ(el.num_vertices, 7u);
   EXPECT_EQ(el.num_edges(), 12u);
-  std::filesystem::remove(path);
 }
 
 TEST(Materialize, DotaLikeAlreadyWeighted) {

@@ -202,7 +202,9 @@ TEST(RunnerCsv, WrongColumnCountRejected) {
   // 11 fields (the pre-outcome format) must be rejected, not half-parsed.
   EXPECT_THROW(records_from_csv(csv + "d,s,a,1,0,p,0.5,0,0,0,3\n"),
                EpgsError);
-  // So must 13.
+  // So must 12 (the pre-checkpoint format) and 13.
+  EXPECT_THROW(records_from_csv(csv + "d,s,a,1,0,p,0.5,0,0,0,3,success\n"),
+               EpgsError);
   EXPECT_THROW(
       records_from_csv(csv + "d,s,a,1,0,p,0.5,0,0,0,3,success,junk\n"),
       EpgsError);
@@ -211,13 +213,14 @@ TEST(RunnerCsv, WrongColumnCountRejected) {
 TEST(RunnerCsv, MalformedFieldsRejectedWithEpgsError) {
   const auto header = records_to_csv({});
   EXPECT_THROW(
-      records_from_csv(header + "d,s,a,NaNthreads,0,p,0.5,0,0,0,,success\n"),
+      records_from_csv(header + "d,s,a,NaNthreads,0,p,0.5,0,0,0,,success,,\n"),
       EpgsError);
   EXPECT_THROW(
-      records_from_csv(header + "d,s,a,1,0,p,notasecond,0,0,0,,success\n"),
+      records_from_csv(header +
+                       "d,s,a,1,0,p,notasecond,0,0,0,,success,,\n"),
       EpgsError);
   EXPECT_THROW(
-      records_from_csv(header + "d,s,a,1,0,p,0.5,0,0,0,,exploded\n"),
+      records_from_csv(header + "d,s,a,1,0,p,0.5,0,0,0,,exploded,,\n"),
       EpgsError);
 }
 

@@ -7,7 +7,6 @@
 #include "systems/common/kernel_run.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
@@ -138,19 +137,11 @@ TEST(KernelRunTelemetry, TimelineRoundTripsThroughLogText) {
 
 class KernelCheckpointSweep : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("epgs_krun_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    fault::disarm_cancel_at_iteration();
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { fault::disarm_cancel_at_iteration(); }
 
   [[nodiscard]] CheckpointConfig config(const std::string& key) const {
     CheckpointConfig cfg;
-    cfg.dir = dir_.string();
+    cfg.dir = dir_.path().string();
     cfg.unit_key = key;
     cfg.fingerprint = "fp";
     cfg.every_iterations = 1;
@@ -186,7 +177,7 @@ class KernelCheckpointSweep : public ::testing::Test {
         << key << " must delete the snapshot after completing";
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 TEST_F(KernelCheckpointSweep, EveryAdvertisedIterativeKernelResumes) {
@@ -299,10 +290,9 @@ TEST(IterTrace, TimelinesSurviveForkIsolation) {
 }
 
 TEST(IterTrace, SidecarJsonlMatchesIterationCounts) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("epgs_trace_" + std::to_string(::getpid()));
+  const test::TempDir dir;
   auto cfg = trace_config();
-  cfg.iter_trace_dir = dir.string();
+  cfg.iter_trace_dir = dir.path().string();
   const auto result = harness::run_experiment(cfg);
   EXPECT_TRUE(result.iter_trace_warning.empty())
       << result.iter_trace_warning;
@@ -312,7 +302,7 @@ TEST(IterTrace, SidecarJsonlMatchesIterationCounts) {
   ASSERT_GT(expected_rows, 0u);
 
   fs::path sidecar;
-  for (const auto& e : fs::directory_iterator(dir)) {
+  for (const auto& e : fs::directory_iterator(dir.path())) {
     if (e.path().filename().string().rfind("itertrace-", 0) == 0) {
       sidecar = e.path();
     }
@@ -333,7 +323,6 @@ TEST(IterTrace, SidecarJsonlMatchesIterationCounts) {
   }
   EXPECT_EQ(rows, expected_rows)
       << "sidecar rows must match in-memory timeline rows";
-  fs::remove_all(dir);
 }
 
 TEST(IterTrace, TrajectoryAveragesAcrossTrials) {

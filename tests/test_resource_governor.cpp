@@ -4,7 +4,6 @@
 // RLIMIT_AS, and a full disk degrades the cache and the journal without
 // losing the sweep.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <new>
@@ -17,6 +16,7 @@
 #include "harness/dataset_pipeline.hpp"
 #include "harness/runner.hpp"
 #include "harness/supervisor.hpp"
+#include "test_util.hpp"
 
 namespace epgs::harness {
 namespace {
@@ -25,18 +25,10 @@ namespace fs = std::filesystem;
 
 class GovernorDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("epgs_governor_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-    reset_pipeline_stats();
-  }
-  void TearDown() override {
-    fsx::disarm();
-    fs::remove_all(dir_);
-  }
+  void SetUp() override { reset_pipeline_stats(); }
+  void TearDown() override { fsx::disarm(); }
 
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 ExperimentConfig tiny_config() {
@@ -132,7 +124,7 @@ TEST(Governor, IsolatedChildUnderRlimitAsReportsOomKilled) {
 }
 
 TEST_F(GovernorDir, JournalRoundTripsGovernorOutcomes) {
-  const std::string path = (dir_ / "journal.txt").string();
+  const std::string path = (dir_.path() / "journal.txt").string();
   {
     Journal j;
     j.open_fresh(path, "fp");
@@ -152,7 +144,7 @@ TEST_F(GovernorDir, JournalRoundTripsGovernorOutcomes) {
 
 TEST_F(GovernorDir, JournalDegradesOnDiskFullSweepContinues) {
   auto cfg = tiny_config();
-  cfg.supervisor.journal_path = (dir_ / "journal.txt").string();
+  cfg.supervisor.journal_path = (dir_.path() / "journal.txt").string();
 
   fsx::Plan plan;
   plan.op = fsx::Op::kWrite;
@@ -172,7 +164,7 @@ TEST_F(GovernorDir, JournalDegradesOnDiskFullSweepContinues) {
 
 TEST_F(GovernorDir, CacheEnospcDegradesToUncachedRun) {
   auto cfg = tiny_config();
-  cfg.dataset.cache_dir = (dir_ / "cache").string();
+  cfg.dataset.cache_dir = (dir_.path() / "cache").string();
 
   fsx::Plan plan;
   plan.op = fsx::Op::kWrite;
@@ -191,7 +183,7 @@ TEST_F(GovernorDir, CacheEnospcDegradesToUncachedRun) {
   EXPECT_GT(result.records.size(), 0u);
   EXPECT_EQ(pipeline_stats().degraded_runs, 1u);
   // The failed build left no staging litter behind.
-  for (const auto& e : fs::directory_iterator(dir_ / "cache")) {
+  for (const auto& e : fs::directory_iterator(dir_.path() / "cache")) {
     EXPECT_EQ(e.path().filename().string().rfind(".tmp-", 0),
               std::string::npos)
         << "leaked staging dir " << e.path();
@@ -200,7 +192,7 @@ TEST_F(GovernorDir, CacheEnospcDegradesToUncachedRun) {
 
 TEST_F(GovernorDir, DiskPreflightRefusesImpossibleFloor) {
   DatasetOptions opts;
-  opts.cache_dir = (dir_ / "cache").string();
+  opts.cache_dir = (dir_.path() / "cache").string();
   opts.min_free_disk_bytes = ~0ull;  // no volume has 16 EiB free
   GraphSpec spec;
   spec.kind = GraphSpec::Kind::kKronecker;

@@ -5,9 +5,6 @@
 // provenance columns — the same currency the chaos harness uses).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <atomic>
 #include <filesystem>
 #include <functional>
 #include <sstream>
@@ -21,31 +18,14 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "systems/common/fault_injection.hpp"
+#include "test_util.hpp"
 
 namespace epgs {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Unique temp dir per fixture, removed on teardown (test_cli.cpp idiom).
-class TempDir {
- public:
-  TempDir() {
-    static std::atomic<int> counter{0};
-    dir_ = fs::temp_directory_path() /
-           ("epgs_serve_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] fs::path path() const { return dir_; }
-
- private:
-  fs::path dir_;
-};
+using test::TempDir;
 
 serve::Request make_run_request(int scale, std::uint64_t seed,
                                 const std::string& system,

@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -17,6 +16,7 @@
 #include "core/rng.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "test_util.hpp"
 
 namespace epgs {
 namespace {
@@ -213,20 +213,11 @@ TEST(ServeProtocol, ReplyRenderParseRoundTrip) {
 class ServeProtocolLive : public ::testing::Test {
  protected:
   void SetUp() override {
-    static std::atomic<int> counter{0};
-    dir_ = fs::temp_directory_path() /
-           ("epgs_proto_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(dir_);
     serve::ServerOptions opts;
-    opts.socket_path = (dir_ / "epg.sock").string();
+    opts.socket_path = (dir_.path() / "epg.sock").string();
     server_ = std::make_unique<serve::Server>(opts);
   }
-  void TearDown() override {
-    server_.reset();
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
+  void TearDown() override { server_.reset(); }
 
   [[nodiscard]] int connect_raw() const {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -241,7 +232,7 @@ class ServeProtocolLive : public ::testing::Test {
     return fd;
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
   std::unique_ptr<serve::Server> server_;
 };
 

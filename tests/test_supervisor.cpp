@@ -4,7 +4,6 @@
 #include "harness/supervisor.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -18,6 +17,7 @@
 #include "harness/runner.hpp"
 #include "systems/common/fault_injection.hpp"
 #include "systems/common/system.hpp"
+#include "test_util.hpp"
 
 namespace epgs::harness {
 namespace {
@@ -26,18 +26,11 @@ namespace fs = std::filesystem;
 
 class SupervisorDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("epgs_supervisor_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   [[nodiscard]] std::string journal_path() const {
-    return (dir_ / "journal.txt").string();
+    return (dir_.path() / "journal.txt").string();
   }
 
-  fs::path dir_;
+  test::TempDir dir_;
 };
 
 ExperimentConfig tiny_config() {
@@ -401,17 +394,13 @@ TEST_F(SupervisorDir, JournalEndLineCarriesRetryAndResumeDetail) {
   EXPECT_EQ(entries[0].resumed_from_iter, 17);
 }
 
-TEST_F(SupervisorDir, ReplayAcceptsBareEndFromLegacyJournals) {
-  // Journals written before the checkpoint layer closed groups with a
-  // bare "end"; replay must keep accepting them.
+TEST_F(SupervisorDir, ReplayTreatsBareEndAsTornGroup) {
+  // Every group closes with "end <attempts>|<last_failure>|<resumed>";
+  // a bare "end" is not a finished unit, so the unit must re-run.
   std::ofstream(journal_path())
       << "epgs-journal-v1\nconfig fp\n"
       << "unit GAP|BFS|0|success|2|0\nend\n";
-  const auto entries = replay_journal(journal_path(), "fp");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].attempts, 2);
-  EXPECT_EQ(entries[0].last_failure, Outcome::kSuccess);
-  EXPECT_EQ(entries[0].resumed_from_iter, -1);
+  EXPECT_TRUE(replay_journal(journal_path(), "fp").empty());
 }
 
 TEST_F(SupervisorDir, ReplaySkipsCheckpointBreadcrumbs) {
@@ -477,7 +466,7 @@ TEST_F(SupervisorDir, ReplayDuplicateKeysLastWins) {
 }
 
 TEST_F(SupervisorDir, ResumableFailureWithSnapshotIsRerunOnResume) {
-  const fs::path ckpt_dir = dir_ / "ckpts";
+  const fs::path ckpt_dir = dir_.path() / "ckpts";
   fs::create_directories(ckpt_dir);
   Journal j;
   j.open_fresh(journal_path(), "fp");
@@ -510,7 +499,7 @@ TEST_F(SupervisorDir, ReplayRejectsFingerprintMismatch) {
   j.close();
   EXPECT_NO_THROW(replay_journal(journal_path(), "fp-1"));
   EXPECT_THROW(replay_journal(journal_path(), "fp-2"), EpgsError);
-  EXPECT_THROW(replay_journal((dir_ / "missing").string(), "fp-1"),
+  EXPECT_THROW(replay_journal((dir_.path() / "missing").string(), "fp-1"),
                EpgsError);
 }
 

@@ -4,7 +4,6 @@
 #include "harness/sweep_plan.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -14,26 +13,14 @@
 #include "harness/dataset_pipeline.hpp"
 #include "harness/runner.hpp"
 #include "systems/common/system.hpp"
+#include "test_util.hpp"
 
 namespace epgs::harness {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  TempDir() : path_(fs::temp_directory_path() /
-                    ("epgs_plan_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter_++))) {
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
+using test::TempDir;
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
@@ -54,7 +41,6 @@ TEST(SweepPlan, EnumeratesUnitsWithKeysAndRebuildDecisions) {
 
   EXPECT_EQ(plan.dataset, cfg.graph.name());
   EXPECT_EQ(plan.threads, 2);
-  EXPECT_EQ(plan.data_path, DataPath::kInMemory);
   ASSERT_EQ(plan.systems.size(), 3u);
 
   const auto& gap = plan.systems[0];
@@ -105,7 +91,6 @@ TEST(SweepPlan, NativeFileModeResolvesPerSystemPaths) {
   const auto prep = prepare_dataset(cfg.graph, opts);
 
   const SweepPlan plan = plan_sweep(cfg, &prep.entry.files, {});
-  EXPECT_EQ(plan.data_path, DataPath::kNativeFile);
   for (const auto& sp : plan.systems) {
     EXPECT_FALSE(sp.native_file.empty()) << sp.system;
     EXPECT_TRUE(fs::exists(sp.native_file)) << sp.system;
@@ -180,17 +165,33 @@ TEST(ZeroCopyDataPath, FileReadPhaseAppearsForSeparateConstruction) {
   EXPECT_EQ(result.seconds_of("Graph500", phase::kBuild).size(), 1u);
 }
 
-TEST(ZeroCopyDataPath, NoCacheForcesLegacyPath) {
+TEST(ZeroCopyDataPath, EmptyCacheDirStagesRamEdgesAndWritesNothing) {
+  // Run from inside an empty directory: a cache rooted at "" would
+  // resolve relative to the working directory and show up here.
   TempDir tmp;
+  const fs::path cwd = fs::current_path();
+  fs::current_path(tmp.path());
   auto cfg = small_config();
-  cfg.dataset.cache_dir = (tmp.path() / "cache").string();
-  cfg.dataset.use_cache = false;  // what --no-cache sets
-
+  const auto prep = prepare_dataset(cfg.graph, cfg.dataset);
   const auto result = run_experiment(cfg);
+  fs::current_path(cwd);
+
+  const EdgeList direct = materialize(cfg.graph);
+  EXPECT_EQ(prep.edges.num_vertices, direct.num_vertices);
+  EXPECT_EQ(prep.edges.weighted, direct.weighted);
+  EXPECT_EQ(prep.edges.edges, direct.edges);
+  EXPECT_TRUE(prep.entry.files.files.empty());
+  EXPECT_FALSE(prep.cache_hit);
+  EXPECT_FALSE(prep.degraded);
+  EXPECT_TRUE(fs::is_empty(tmp.path())) << "no cache dir may be created";
+
+  // The plan gives no system a native file: edges are staged from RAM,
+  // so no file-read phases appear.
+  const SweepPlan plan = plan_sweep(cfg, &prep.entry.files, {});
+  for (const auto& sp : plan.systems) {
+    EXPECT_TRUE(sp.native_file.empty()) << sp.system;
+  }
   EXPECT_FALSE(result.used_dataset_pipeline);
-  EXPECT_FALSE(fs::exists(tmp.path() / "cache"))
-      << "--no-cache must not create or touch the cache dir";
-  // No file-read phases: edges are staged from RAM.
   EXPECT_TRUE(result.seconds_of("GAP", phase::kFileRead).empty());
 }
 

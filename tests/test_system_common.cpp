@@ -1,16 +1,12 @@
 // Adapter life-cycle and registry behaviour shared by all systems.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "graph/homogenizer.hpp"
 #include "systems/common/registry.hpp"
 #include "test_util.hpp"
 
 namespace epgs {
 namespace {
-
-namespace fs = std::filesystem;
 
 TEST(Registry, FiveSystemsInPaperOrder) {
   const auto names = all_system_names();
@@ -129,8 +125,8 @@ TEST(SystemLifecycle, PageRankLogsIterations) {
 }
 
 TEST(SystemLifecycle, SeparateConstructionLogsFileReadDistinctly) {
-  const auto dir = fs::temp_directory_path() / "epgs_sys_load";
-  const auto ds = homogenize(test::line_graph(12), "line", dir);
+  const test::TempDir dir;
+  const auto ds = homogenize(test::line_graph(12), "line", dir.path());
 
   auto sys = make_system("GraphMat");  // separable construction
   sys->load_file(ds.path(sys->native_format()));
@@ -139,12 +135,11 @@ TEST(SystemLifecycle, SeparateConstructionLogsFileReadDistinctly) {
   const auto build = sys->log().find(phase::kBuild);
   ASSERT_TRUE(build.has_value());
   EXPECT_EQ(build->extra.count("fused_read"), 0u);
-  fs::remove_all(dir);
 }
 
 TEST(SystemLifecycle, FusedSystemsReadAndBuildTogether) {
-  const auto dir = fs::temp_directory_path() / "epgs_sys_fused";
-  const auto ds = homogenize(test::line_graph(12), "line", dir);
+  const test::TempDir dir;
+  const auto ds = homogenize(test::line_graph(12), "line", dir.path());
 
   for (const auto name : {"GraphBIG", "PowerGraph"}) {
     auto sys = make_system(name);
@@ -157,7 +152,6 @@ TEST(SystemLifecycle, FusedSystemsReadAndBuildTogether) {
     ASSERT_TRUE(build.has_value()) << name;
     EXPECT_EQ(build->extra.at("fused_read"), "1") << name;
   }
-  fs::remove_all(dir);
 }
 
 TEST(SystemLifecycle, RebuildAfterSetEdges) {

@@ -1,13 +1,56 @@
 // Shared fixtures: small graphs with known properties, used across the
-// per-system and cross-system suites.
+// per-system and cross-system suites, and a scratch-directory helper.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "graph/edge_list.hpp"
 #include "graph/transforms.hpp"
 
 namespace epgs::test {
+
+/// A fresh scratch directory, removed with its contents on scope exit.
+/// The name is unique by process, gtest test name and a per-process
+/// counter: ctest runs every case as its own process, in parallel under
+/// `ctest -j`, so a fixed name would let cases delete each other's files.
+class TempDir {
+ public:
+  TempDir() {
+    static std::atomic<unsigned> counter{0};
+    std::string name = "epgs_" + std::to_string(::getpid());
+    if (const auto* info =
+            ::testing::UnitTest::GetInstance()->current_test_info()) {
+      // Capped: Unix socket paths under the directory must stay short.
+      name += "_" + (std::string(info->test_suite_name()) + "." +
+                     info->name())
+                        .substr(0, 40);
+    }
+    name += "_" + std::to_string(counter.fetch_add(1));
+    for (char& c : name) {
+      if (c == '/') c = '_';  // parameterized names contain slashes
+    }
+    path_ = std::filesystem::temp_directory_path() / name;
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
 
 /// Undirected path 0-1-2-...-(n-1), stored as symmetric directed pairs.
 inline EdgeList line_graph(vid_t n, bool weighted = false) {
