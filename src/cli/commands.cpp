@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "core/stats.hpp"
 #include "graph/homogenizer.hpp"
 #include "graph/snap_io.hpp"
@@ -739,7 +741,13 @@ std::string usage() {
       "              [--html report.html]   (single-trial comparator)\n"
       "  predict     --system S --algorithm A --scale N\n"
       "              [--time-limit SEC] [--memory-limit-mib M]\n"
-      "  stats       [--kind ... | --kind snap --graph file.snap]\n";
+      "  stats       [--kind ... | --kind snap --graph file.snap]\n"
+      "\n"
+      "environment:\n"
+      "  EPGS_FAULT  fault injection for tests and CI: ';'-separated\n"
+      "              epgs-chaos-v1 lines \"event 0|<kind>|<system>|<phase>|\n"
+      "              <at>|<fires>|<op>|<errno>|<path>|0\", armed before\n"
+      "              the command runs (a malformed plan exits 1)\n";
 }
 
 int dispatch(const std::vector<std::string>& argv, std::ostream& out,
@@ -752,6 +760,14 @@ int dispatch(const std::vector<std::string>& argv, std::ostream& out,
   const Args args =
       Args::parse({argv.begin() + 1, argv.end()});
   try {
+    // EPGS_FAULT arms `;`-separated epgs-chaos-v1 event lines
+    // (core/fault.hpp) so CI and robustness tests can drive the real
+    // binary into injected faults. Armed here, inside the try, so a
+    // malformed plan is a clean exit-1 error that arms nothing.
+    if (const char* plan = std::getenv("EPGS_FAULT");
+        plan != nullptr && *plan != '\0') {
+      fault::arm(fault::parse_plan(plan));
+    }
     if (cmd == "generate") return cmd_generate(args, out);
     if (cmd == "homogenize") return cmd_homogenize(args, out);
     if (cmd == "prepare") return cmd_prepare(args, out);

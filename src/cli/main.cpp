@@ -4,16 +4,8 @@
 #include <vector>
 
 #include "cli/commands.hpp"
-#include "core/fs_shim.hpp"
-#include "systems/common/fault_injection.hpp"
 
 int main(int argc, char** argv) {
-  // EPGS_FS_FAULT lets CI and robustness tests drive the real binary
-  // against injected filesystem failures (see core/fs_shim.hpp);
-  // EPGS_KILL_AT_CKPT arms the deterministic kill-at-checkpoint injector
-  // the kill-resume smoke uses (see systems/common/fault_injection.hpp).
-  epgs::fsx::arm_from_env();
-  epgs::fault::arm_kill_from_env();
   std::vector<std::string> args(argv + 1, argv + argc);
   return epgs::cli::dispatch(args, std::cout, std::cerr);
 }

@@ -3,9 +3,9 @@
 #include <unistd.h>
 
 #include <array>
-#include <atomic>
 #include <utility>
 
+#include "core/fault.hpp"
 #include "core/fs_shim.hpp"
 
 namespace epgs {
@@ -49,7 +49,7 @@ T read_raw(std::string_view buf, std::size_t& pos) {
   return v;
 }
 
-/// Read a whole file through the fs_shim (so EPGS_FS_FAULT read plans
+/// Read a whole file through the fs_shim (so `fs` read fault events
 /// fire on snapshot loads). Throws IoError/ResourceExhaustedError.
 std::string slurp(const std::filesystem::path& p) {
   const int fd = fsx::open_read(p);
@@ -76,13 +76,7 @@ struct SnapshotMeta {
   std::uint64_t iteration = 0;
 };
 
-std::atomic<SnapshotPublishHook> g_publish_hook{nullptr};
-
 }  // namespace
-
-void set_snapshot_publish_hook(SnapshotPublishHook hook) noexcept {
-  g_publish_hook.store(hook, std::memory_order_release);
-}
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
   static const std::array<std::uint32_t, 256> table = make_crc_table();
@@ -265,11 +259,8 @@ bool CheckpointSession::write_snapshot() {
       out.close();
     }
     // The torn-publish window: tmp is durable, the rename has not
-    // happened. An installed hook may kill the process right here.
-    if (SnapshotPublishHook hook =
-            g_publish_hook.load(std::memory_order_acquire)) {
-      hook(path_.c_str());
-    }
+    // happened. An armed kill-publish fault kills the process right here.
+    fault::on_publish();
     fsx::rename(tmp, path_);
     fsx::fsync_dir(path_.parent_path());
   } catch (const std::exception& e) {

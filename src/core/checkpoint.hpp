@@ -14,8 +14,10 @@
 //
 // Trust model: a snapshot is a hint, never an authority. The on-disk frame
 // is magic-headered and CRC-framed, written atomically (tmp + rename +
-// fsync) through the fs_shim so EPGS_FS_FAULT plans inject faults into
-// snapshot I/O like any other durable write. A corrupt, torn, or
+// fsync) through the fs_shim so armed `fs` fault events reach snapshot
+// I/O like any other durable write, and a `kill-publish` event can kill
+// the process inside the tmp-written, not-yet-renamed window
+// (core/fault.hpp). A corrupt, torn, or
 // config-mismatched snapshot is invalidated with a warning and the kernel
 // falls back to a full restart — never trusted, never fatal.
 #pragma once
@@ -279,16 +281,6 @@ template <typename T, typename IterT, typename GetFn, typename SetFn>
   return ckpt_scalar_vector<double, int>(data, count, iterations, edge_work,
                                          std::move(what));
 }
-
-/// Test hook fired between a snapshot's durable tmp write and the rename
-/// that publishes it — the exact window where a process death leaves a
-/// stale-or-absent snapshot plus an orphaned .tmp. The fault-injection
-/// layer installs a handler here to rehearse torn publishes (chaos
-/// publish-kill events, tests/test_checkpoint.cpp); production never sets
-/// it and the call site reduces to one relaxed atomic load. The argument
-/// is the final snapshot path.
-using SnapshotPublishHook = void (*)(const char* path);
-void set_snapshot_publish_hook(SnapshotPublishHook hook) noexcept;
 
 /// One session's identity and cadence. A session snapshots exactly one
 /// supervised unit; the fingerprint ties the snapshot to the experiment

@@ -5,7 +5,7 @@
 // handlers for the fatal signals (SEGV/ABRT/BUS/ILL/FPE) inside the
 // fork-isolated child; on delivery the handler writes a small text report
 // into a *pre-opened* fd — signal, si_code, fault address, errno, the
-// active phase/iteration, and the armed fault plans — then dumps the call
+// active phase/iteration, and the armed fault events — then dumps the call
 // stack with backtrace_symbols_fd and re-raises with SIG_DFL so the
 // parent still observes the true WTERMSIG. Everything on the handler path
 // is async-signal-safe: raw write(2)/fsync(2), hand-rolled integer
@@ -59,11 +59,11 @@ void note_phase(std::string_view system, std::string_view phase) noexcept;
 /// Record the last completed kernel iteration.
 void note_iteration(std::uint64_t completed) noexcept;
 
-/// Number of independent fault-plan note slots (phase faults, fs faults,
-/// checkpoint kills, ... each arm their own).
+/// Number of fault-event note slots: core/fault.hpp records the spec line
+/// of its i-th armed event in slot i.
 inline constexpr int kFaultSlots = 4;
 
-/// Record (or clear, with empty `desc`) the armed fault plan in `slot`.
+/// Record (or clear, with empty `desc`) the armed fault event in `slot`.
 void note_fault(int slot, std::string_view desc) noexcept;
 
 /// Reset every note to its disarmed state.
@@ -79,7 +79,7 @@ struct CrashReport {
   int saved_errno = 0;       ///< errno at handler entry
   std::string phase;         ///< "<system>/<phase>", may be empty
   std::int64_t iteration = -1;
-  std::vector<std::string> faults;     ///< armed fault plans, one per slot
+  std::vector<std::string> faults;     ///< armed fault events, one per slot
   std::vector<std::string> backtrace;  ///< raw backtrace_symbols_fd lines
   std::string fingerprint;   ///< stack_fingerprint(backtrace)
 };

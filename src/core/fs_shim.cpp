@@ -1,9 +1,6 @@
 #include "core/fs_shim.hpp"
 
-#include <atomic>
 #include <cerrno>
-#include <charconv>
-#include <cstdlib>
 #include <cstring>
 #include <streambuf>
 #include <vector>
@@ -13,43 +10,27 @@
 #include <sys/statvfs.h>
 #include <unistd.h>
 
-#include "core/crash_report.hpp"
 #include "core/error.hpp"
+#include "core/fault.hpp"
 
 namespace epgs::fsx {
 namespace {
 
-Plan g_plan;
-std::atomic<bool> g_armed{false};
-std::atomic<int> g_calls{0};
-std::atomic<int> g_fires{0};
+using Op = fault::FsOp;
 
-/// Consult the armed plan for one syscall. Returns the errno to inject
-/// (0 = proceed), with `*short_write` set when a kWrite fault asks for a
-/// torn write instead of a failure.
+/// Ask the fault layer about one syscall. Returns the errno to inject
+/// (0 = proceed), with `*short_write` set when a write should land torn
+/// instead of failing.
 int maybe_inject(Op op, const std::filesystem::path& p,
                  bool* short_write = nullptr) {
-  if (!g_armed.load(std::memory_order_acquire)) return 0;
-  if (g_plan.op != op) return 0;
-  if (!g_plan.path_substr.empty() &&
-      p.native().find(g_plan.path_substr) == std::string::npos) {
-    return 0;
-  }
-  const int call = g_calls.fetch_add(1) + 1;  // 1-based
-  if (call < g_plan.at_call) return 0;
-  if (g_fires.load() >= g_plan.max_fires) return 0;
-  g_fires.fetch_add(1);
-  if (short_write != nullptr && g_plan.short_write) {
-    *short_write = true;
-    return 0;
-  }
-  return g_plan.error_code;
+  return fault::on_fs_call(op, p.native(), short_write);
 }
 
 [[noreturn]] void throw_errno(Op op, const std::filesystem::path& p,
                               int err) {
-  const std::string msg = std::string(op_name(op)) + " failed for " +
-                          p.string() + ": " + std::strerror(err);
+  const std::string msg = std::string(fault::fs_op_name(op)) +
+                          " failed for " + p.string() + ": " +
+                          std::strerror(err);
   switch (err) {
     case ENOSPC:
     case EDQUOT:
@@ -83,151 +64,7 @@ void write_all(int fd, const char* data, std::size_t n,
   }
 }
 
-struct ErrnoName {
-  std::string_view name;
-  int value;
-};
-
-constexpr ErrnoName kErrnoNames[] = {
-    {"ENOSPC", ENOSPC}, {"EIO", EIO},       {"EDQUOT", EDQUOT},
-    {"EMFILE", EMFILE}, {"ENFILE", ENFILE}, {"ENOMEM", ENOMEM},
-    {"EACCES", EACCES}, {"EROFS", EROFS},
-};
-
-/// Strict decimal parse for spec fields: the whole of `text` must be
-/// digits (std::atoi's silent acceptance of "12abc" let malformed specs
-/// arm the wrong plan). Throws EpgsError naming the offending field.
-int parse_spec_int(std::string_view field, std::string_view text) {
-  int value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size() ||
-      text.empty()) {
-    throw EpgsError("fs fault spec: bad " + std::string(field) +
-                    " value '" + std::string(text) + "' (want an integer)");
-  }
-  return value;
-}
-
-/// Short human description of the armed plan for crash forensics.
-std::string describe(const Plan& plan) {
-  std::string d = "fs:";
-  d += op_name(plan.op);
-  d += plan.short_write ? ":short" : (":errno=" +
-                                      std::to_string(plan.error_code));
-  d += " at=" + std::to_string(plan.at_call);
-  d += " count=" + std::to_string(plan.max_fires);
-  if (!plan.path_substr.empty()) d += " path=" + plan.path_substr;
-  return d;
-}
-
-/// Crash-note slot owned by the fs shim (slots 0-2 belong to the phase
-/// injector; see fault_injection.cpp).
-constexpr int kNoteFsPlan = 3;
-
 }  // namespace
-
-std::string_view op_name(Op op) {
-  switch (op) {
-    case Op::kOpen: return "open";
-    case Op::kRead: return "read";
-    case Op::kWrite: return "write";
-    case Op::kRename: return "rename";
-    case Op::kFsync: return "fsync";
-    case Op::kMmap: return "mmap";
-  }
-  return "?";
-}
-
-Op op_from_name(std::string_view name) {
-  for (const Op op : {Op::kOpen, Op::kRead, Op::kWrite, Op::kRename,
-                      Op::kFsync, Op::kMmap}) {
-    if (op_name(op) == name) return op;
-  }
-  throw EpgsError("fs fault spec: unknown op '" + std::string(name) + "'");
-}
-
-void arm(const Plan& plan) {
-  g_plan = plan;
-  g_calls.store(0);
-  g_fires.store(0);
-  g_armed.store(true, std::memory_order_release);
-  crash::note_fault(kNoteFsPlan, describe(plan));
-}
-
-void disarm() {
-  g_armed.store(false, std::memory_order_release);
-  g_plan = Plan{};
-  g_calls.store(0);
-  g_fires.store(0);
-  crash::note_fault(kNoteFsPlan, {});
-}
-
-bool armed() { return g_armed.load(std::memory_order_acquire); }
-
-int call_count() { return g_calls.load(); }
-
-int fire_count() { return g_fires.load(); }
-
-void arm_from_spec(std::string_view spec) {
-  Plan plan;
-  // Split on ':', keeping empty fields so "write::ENOSPC" and a trailing
-  // colon are rejected loudly instead of silently collapsing.
-  std::vector<std::string_view> parts;
-  for (;;) {
-    const std::size_t colon = spec.find(':');
-    parts.push_back(spec.substr(0, colon));
-    if (colon == std::string_view::npos) break;
-    spec = spec.substr(colon + 1);
-  }
-  EPGS_CHECK(parts.size() >= 2,
-             "fs fault spec needs at least <op>:<errno>");
-  for (const std::string_view part : parts) {
-    EPGS_CHECK(!part.empty(),
-               "fs fault spec: empty field (doubled or trailing ':')");
-  }
-  plan.op = op_from_name(parts[0]);
-
-  plan.error_code = -1;
-  for (const auto& [name, value] : kErrnoNames) {
-    if (parts[1] == name) plan.error_code = value;
-  }
-  if (plan.error_code < 0) {
-    if (parts[1] == "short") {
-      plan.short_write = true;
-      plan.error_code = 0;
-    } else {
-      throw EpgsError("fs fault spec: unknown errno '" +
-                      std::string(parts[1]) + "'");
-    }
-  }
-
-  for (std::size_t i = 2; i < parts.size(); ++i) {
-    const std::string_view part = parts[i];
-    if (part == "short") {
-      plan.short_write = true;
-    } else if (part.rfind("at=", 0) == 0) {
-      plan.at_call = parse_spec_int("at=", part.substr(3));
-      EPGS_CHECK(plan.at_call >= 1, "fs fault spec: at= must be >= 1");
-    } else if (part.rfind("count=", 0) == 0) {
-      plan.max_fires = parse_spec_int("count=", part.substr(6));
-      EPGS_CHECK(plan.max_fires >= 1, "fs fault spec: count= must be >= 1");
-    } else if (part.rfind("path=", 0) == 0) {
-      plan.path_substr = std::string(part.substr(5));
-      EPGS_CHECK(!plan.path_substr.empty(),
-                 "fs fault spec: path= needs a substring");
-    } else {
-      throw EpgsError("fs fault spec: unknown field '" + std::string(part) +
-                      "'");
-    }
-  }
-  arm(plan);
-}
-
-void arm_from_env() {
-  const char* spec = std::getenv("EPGS_FS_FAULT");
-  if (spec != nullptr && *spec != '\0') arm_from_spec(spec);
-}
 
 // --- Throwing syscall wrappers ----------------------------------------
 

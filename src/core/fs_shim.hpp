@@ -11,89 +11,30 @@
 //      Outcome::kResourceExhausted and the dataset pipeline can degrade
 //      to uncached generation instead of aborting the sweep.
 //
-//   2. Deterministic fault injection. In the style of the phase-level
-//      injector (systems/common/fault_injection), a test arms one Plan
-//      process-globally and the armed fault fires at exact, countable
-//      syscalls: ENOSPC at the Nth write, EIO on read, a short write, a
-//      failed rename or fsync, an mmap failure that forces MappedFile
-//      onto its buffered fallback. Production runs never arm a plan and
-//      every hook reduces to a relaxed atomic load of a disarmed state.
+//   2. Deterministic fault injection. Every wrapper first asks
+//      fault::on_fs_call (core/fault.hpp) whether an armed `fs` or
+//      `fs-short` event fires at this call: ENOSPC at the Nth write, EIO
+//      on read, a short write, a failed rename or fsync, an mmap failure
+//      that forces MappedFile onto its buffered fallback. Production runs
+//      arm nothing and the hook is one atomic load.
 //
-// CI arms the shim from the environment (EPGS_FS_FAULT) so the ENOSPC
-// robustness smoke can drive the real `epg` binary; see arm_from_env().
+// The ENOSPC robustness smoke drives the real `epg` binary through the
+// same hook by setting EPGS_FAULT to an `fs` event line.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <ostream>
-#include <string>
-#include <string_view>
 
 namespace epgs::fsx {
 
-/// Syscall families the shim can inject faults into.
-enum class Op { kOpen, kRead, kWrite, kRename, kFsync, kMmap };
-
-[[nodiscard]] std::string_view op_name(Op op);
-[[nodiscard]] Op op_from_name(std::string_view name);
-
-/// One armed fault. Fires at the `at_call`-th matching call (1-based,
-/// counted per plan, not per file) and keeps firing for `max_fires`
-/// matching calls after that. An empty `path_substr` matches every path;
-/// otherwise only paths containing the substring count and fire — so a
-/// test can starve the cache directory of disk while the journal on
-/// another path stays writable.
-struct Plan {
-  Op op = Op::kWrite;
-  int error_code = 28;        ///< errno to inject (default ENOSPC)
-  int at_call = 1;            ///< fire from the Nth matching call on...
-  int max_fires = 1 << 30;    ///< ...for at most this many calls
-  bool short_write = false;   ///< kWrite only: truncate instead of failing
-  std::string path_substr;    ///< substring filter on the path; empty = any
-};
-
-/// Arm `plan` for the whole process (tests and the CI smoke only; arm
-/// before the sweep starts — the counters are atomic but the plan swap is
-/// not safe against concurrently running trials).
-void arm(const Plan& plan);
-
-/// Remove any armed plan and zero the counters.
-void disarm();
-
-[[nodiscard]] bool armed();
-
-/// Matching calls observed since arm().
-[[nodiscard]] int call_count();
-
-/// Times the armed fault actually fired.
-[[nodiscard]] int fire_count();
-
-/// Parse and arm a plan from spec text of the form
-///   `<op>:<errno-name>[:at=N][:count=N][:short][:path=SUBSTR]`
-/// e.g. `write:ENOSPC:path=epgs-cache` or `read:EIO:at=3:count=1`.
-/// Throws EpgsError on a malformed spec.
-void arm_from_spec(std::string_view spec);
-
-/// Arm from $EPGS_FS_FAULT when set (called once by the CLI). A missing
-/// or empty variable is a no-op.
-void arm_from_env();
-
-/// RAII arming for tests: disarms on scope exit.
-class Scoped {
- public:
-  explicit Scoped(const Plan& plan) { arm(plan); }
-  ~Scoped() { disarm(); }
-  Scoped(const Scoped&) = delete;
-  Scoped& operator=(const Scoped&) = delete;
-};
-
 // --- Throwing syscall wrappers ----------------------------------------
 //
-// Each wrapper consults the armed plan, then performs (or fails) the real
-// syscall, and converts errno into the typed hierarchy: ENOSPC/EDQUOT/
-// EMFILE/ENFILE/ENOMEM -> ResourceExhaustedError, everything else ->
-// IoError. All paths in messages are the caller's, so a failure names the
+// Each wrapper consults the armed fault events, then performs (or fails)
+// the real syscall, and converts errno into the typed hierarchy:
+// ENOSPC/EDQUOT/EMFILE/ENFILE/ENOMEM -> ResourceExhaustedError, everything
+// else -> IoError. All paths in messages are the caller's, so a failure names the
 // file that hurt.
 
 /// open(2) for reading. Returns the fd; throws on failure.
@@ -105,7 +46,7 @@ class Scoped {
                                     const std::filesystem::path& p);
 
 /// mmap(2) PROT_READ of `[0, n)` of `fd`. Returns nullptr when the map
-/// fails or an armed kMmap fault fires — callers fall back to buffered
+/// fails or an armed mmap fault fires — callers fall back to buffered
 /// reads, extending the mmap->buffered degradation chain.
 [[nodiscard]] void* mmap_read(int fd, std::size_t n,
                               const std::filesystem::path& p);

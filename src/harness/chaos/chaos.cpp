@@ -7,11 +7,11 @@
 
 #include "core/csv.hpp"
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "harness/chaos/shrink.hpp"
 #include "harness/records.hpp"
 #include "harness/runner.hpp"
 #include "harness/supervisor.hpp"
-#include "systems/common/fault_injection.hpp"
 
 namespace epgs::harness::chaos {
 namespace {
@@ -103,67 +103,6 @@ ExperimentConfig chaos_config(const ExperimentConfig& base,
   return cfg;
 }
 
-fault::Kind plan_kind(EventKind k) {
-  switch (k) {
-    case EventKind::kHang: return fault::Kind::kHang;
-    case EventKind::kTransient: return fault::Kind::kTransient;
-    case EventKind::kError: return fault::Kind::kError;
-    case EventKind::kAbort: return fault::Kind::kAbort;
-    case EventKind::kSegv: return fault::Kind::kSegv;
-    case EventKind::kBadAlloc: return fault::Kind::kBadAlloc;
-    case EventKind::kWrongOutput: return fault::Kind::kWrongOutput;
-    default: return fault::Kind::kNone;
-  }
-}
-
-void arm_event(const ChaosEvent& e, const std::string& marker) {
-  switch (e.kind) {
-    case EventKind::kKillAtCheckpoint: {
-      fault::KillPlan k;
-      k.system = e.system;
-      k.at_iteration = static_cast<std::uint64_t>(e.at);
-      if (e.once) k.once_marker = marker;
-      fault::arm_kill_at_checkpoint(k);
-      return;
-    }
-    case EventKind::kKillAtPublish: {
-      fault::PublishKillPlan p;
-      p.at_publish = e.at;
-      if (e.once) p.once_marker = marker;
-      fault::arm_kill_at_publish(p);
-      return;
-    }
-    case EventKind::kFsFault: {
-      fsx::Plan f;
-      f.op = e.fs_op;
-      f.error_code = e.fs_errno;
-      f.at_call = e.at;
-      f.max_fires = e.fires;
-      f.path_substr = e.path_substr;
-      fsx::arm(f);
-      return;
-    }
-    default: {
-      fault::Plan p;
-      p.system = e.system;
-      p.kind = plan_kind(e.kind);
-      // ChaosEvent.at is 1-based ("the Nth matching phase start");
-      // Plan.at_phase counts events to *skip* before firing.
-      p.at_phase = e.at - 1;
-      p.max_fires = e.fires;
-      p.phase = e.phase;
-      if (e.once) p.once_marker = marker;
-      fault::arm(p);
-      return;
-    }
-  }
-}
-
-void disarm_everything() {
-  fault::disarm_all();
-  fsx::disarm();
-}
-
 /// Run one chaos sweep with `events` armed and check both invariants
 /// against the control CSV.
 RoundReport run_round(const ExperimentConfig& base, const ChaosOptions& opts,
@@ -176,40 +115,46 @@ RoundReport run_round(const ExperimentConfig& base, const ChaosOptions& opts,
   std::filesystem::create_directories(d.markers);
   const ExperimentConfig cfg = chaos_config(base, opts, d);
 
-  disarm_everything();
-  std::vector<std::string> markers;
+  // Bind each once-event's marker to a file of its own in this round's
+  // marker directory, so a retry child finds the claim its dead
+  // predecessor left.
+  std::vector<fault::Event> plan;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::string marker =
-        d.markers + "/ev" + std::to_string(i) + ".marker";
-    arm_event(events[i], marker);
-    markers.push_back(marker);
+    fault::Event e = events[i].event;
+    if (e.once()) {
+      e.once_marker = d.markers + "/ev" + std::to_string(i) + ".marker";
+    }
+    plan.push_back(std::move(e));
     rep.armed.push_back(describe(events[i]));
   }
+  fault::arm(plan);
 
   ExperimentResult res;
   try {
     res = run_experiment(cfg);
   } catch (const std::exception& ex) {
-    disarm_everything();
+    fault::disarm();
     rep.detail = std::string("sweep aborted: ") + ex.what();
     return rep;
   }
-  const int fs_fired = fsx::fire_count();
-  disarm_everything();
+  std::vector<int> fired;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    fired.push_back(fault::fires(i));
+  }
+  fault::disarm();
 
   // Classify: did each armed event fire? Once-events leave their claimed
   // marker behind (the claim happens in the fork child, but the file is
-  // shared); fs events count in-process.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const ChaosEvent& e = events[i];
-    std::string obs = describe(e);
-    if (e.kind == EventKind::kFsFault) {
-      obs += fs_fired > 0
-                 ? " -> fired " + std::to_string(fs_fired) + "x"
-                 : " -> did not fire";
-    } else if (e.once) {
-      obs += std::filesystem::exists(markers[i]) ? " -> fired"
-                                                 : " -> did not fire";
+  // shared); fs events fire in this process and count here.
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const fault::Event& e = plan[i];
+    std::string obs = describe(events[i]);
+    if (e.kind == fault::Kind::kFs) {
+      obs += fired[i] > 0 ? " -> fired " + std::to_string(fired[i]) + "x"
+                          : " -> did not fire";
+    } else if (e.once()) {
+      obs += std::filesystem::exists(e.once_marker) ? " -> fired"
+                                                    : " -> did not fire";
     } else {
       obs += " -> persistent (no marker)";
     }
@@ -315,19 +260,17 @@ ChaosReport run_chaos(const ExperimentConfig& base,
     // the CSV must diverge from the control.
     EPGS_CHECK(!gc.validated_phases.empty(),
                "chaos: --force-violation needs bfs or sssp configured");
-    ChaosEvent e;
-    e.round = 0;
-    e.kind = EventKind::kWrongOutput;
+    fault::Event e;
+    e.kind = fault::Kind::kWrongOutput;
     e.system = base.systems.front();
     e.phase = gc.validated_phases.front();
     e.at = 1;
     e.fires = opts.max_retries + 2;
-    e.once = false;
-    out.schedule.events.push_back(std::move(e));
+    out.schedule.events.push_back({0, std::move(e)});
   }
 
   // Control: the fault-free ground truth, same posture, own directories.
-  disarm_everything();
+  fault::disarm();
   const ExperimentResult control =
       run_experiment(chaos_config(base, opts, dirs_for(opts.work_dir,
                                                        "control")));

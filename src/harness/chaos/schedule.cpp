@@ -10,26 +10,9 @@
 namespace epgs::harness::chaos {
 namespace {
 
-struct KindName {
-  EventKind kind;
-  std::string_view name;
-};
+using fault::Kind;
 
-constexpr KindName kKindNames[] = {
-    {EventKind::kHang, "hang"},
-    {EventKind::kTransient, "transient"},
-    {EventKind::kError, "error"},
-    {EventKind::kAbort, "abort"},
-    {EventKind::kSegv, "segv"},
-    {EventKind::kBadAlloc, "badalloc"},
-    {EventKind::kWrongOutput, "wrong-output"},
-    {EventKind::kKillAtCheckpoint, "kill-ckpt"},
-    {EventKind::kKillAtPublish, "kill-publish"},
-    {EventKind::kFsFault, "fs"},
-};
-
-/// The plan families the injector can hold simultaneously; a round arms
-/// at most one event per family.
+/// The event families a round can arm; at most one event per family.
 enum class Family { kPhase, kKillCkpt, kKillPublish, kFs };
 
 /// Strict whole-string integer parse; a chaos spec is user input, so
@@ -45,57 +28,30 @@ T parse_num(std::string_view field, std::string_view text) {
   return value;
 }
 
-/// Split on '|' keeping empty fields (system/phase/path may be empty).
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t bar = line.find('|', start);
-    if (bar == std::string_view::npos) {
-      out.emplace_back(line.substr(start));
-      return out;
-    }
-    out.emplace_back(line.substr(start, bar - start));
-    start = bar + 1;
-  }
-}
-
 }  // namespace
 
-std::string_view event_kind_name(EventKind k) {
-  for (const auto& kn : kKindNames) {
-    if (kn.kind == k) return kn.name;
-  }
-  return "?";
-}
-
-EventKind event_kind_from_name(std::string_view name) {
-  for (const auto& kn : kKindNames) {
-    if (kn.name == name) return kn.kind;
-  }
-  throw EpgsError("chaos spec: unknown event kind '" + std::string(name) +
-                  "'");
-}
-
-std::string describe(const ChaosEvent& e) {
+std::string describe(const ChaosEvent& ce) {
+  const fault::Event& e = ce.event;
   std::ostringstream os;
-  os << "round " << e.round << ": " << event_kind_name(e.kind);
+  os << "round " << ce.round << ": " << fault::kind_name(e.kind);
   if (!e.system.empty() || !e.phase.empty()) {
     os << ' ' << (e.system.empty() ? "*" : e.system) << '/'
        << (e.phase.empty() ? "*" : e.phase);
   }
   switch (e.kind) {
-    case EventKind::kKillAtCheckpoint: os << " at iteration " << e.at; break;
-    case EventKind::kKillAtPublish: os << " at publish " << e.at; break;
-    case EventKind::kFsFault:
-      os << ' ' << fsx::op_name(e.fs_op) << " errno=" << e.fs_errno
+    case Kind::kKillCkpt:
+    case Kind::kCancel: os << " at iteration " << e.at; break;
+    case Kind::kKillPublish: os << " at publish " << e.at; break;
+    case Kind::kFs:
+    case Kind::kFsShort:
+      os << ' ' << fault::fs_op_name(e.fs_op) << " errno=" << e.fs_errno
          << " at call " << e.at;
       if (!e.path_substr.empty()) os << " path~" << e.path_substr;
       break;
     default: break;
   }
   if (e.fires != 1) os << " x" << e.fires;
-  os << (e.once ? " (once)" : " (persistent)");
+  os << (e.once() ? " (once)" : " (persistent)");
   return os.str();
 }
 
@@ -112,11 +68,11 @@ ChaosSchedule generate_schedule(std::uint64_t seed, int rounds,
 
   // The phase-kind pool. kWrongOutput joins only when a per-trial
   // validated phase exists to catch it.
-  std::vector<EventKind> phase_kinds = {
-      EventKind::kHang,     EventKind::kTransient, EventKind::kError,
-      EventKind::kAbort,    EventKind::kSegv,      EventKind::kBadAlloc};
+  std::vector<Kind> phase_kinds = {Kind::kHang,  Kind::kTransient,
+                                   Kind::kError, Kind::kAbort,
+                                   Kind::kSegv,  Kind::kBadAlloc};
   if (!cfg.validated_phases.empty()) {
-    phase_kinds.push_back(EventKind::kWrongOutput);
+    phase_kinds.push_back(Kind::kWrongOutput);
   }
   std::vector<Family> families = {Family::kPhase};
   if (cfg.checkpoint_kinds) {
@@ -138,45 +94,45 @@ ChaosSchedule generate_schedule(std::uint64_t seed, int rounds,
       const auto j =
           i + rng.uniform_u64(pool.size() - static_cast<std::size_t>(i));
       std::swap(pool[static_cast<std::size_t>(i)], pool[j]);
-      ChaosEvent e;
-      e.round = round;
-      e.once = true;
+      fault::Event e;
       switch (pool[static_cast<std::size_t>(i)]) {
         case Family::kPhase: {
           e.kind = phase_kinds[rng.uniform_u64(phase_kinds.size())];
           e.system = pick(cfg.systems);
-          e.phase = e.kind == EventKind::kWrongOutput
-                        ? pick(cfg.validated_phases)
-                        : pick(cfg.phases);
-          e.at = 1;  // see ChaosEvent::at: per-child counters under fork
+          e.phase = e.kind == Kind::kWrongOutput ? pick(cfg.validated_phases)
+                                                 : pick(cfg.phases);
+          e.at = 1;  // see ChaosEvent: per-child counters under fork
           e.fires = 1;
           break;
         }
         case Family::kKillCkpt: {
-          e.kind = EventKind::kKillAtCheckpoint;
+          e.kind = Kind::kKillCkpt;
           e.system = pick(cfg.systems);
           e.at = static_cast<int>(rng.uniform_in(1, 3));
           break;
         }
         case Family::kKillPublish: {
-          e.kind = EventKind::kKillAtPublish;
+          e.kind = Kind::kKillPublish;
           e.at = static_cast<int>(rng.uniform_in(1, 3));
           break;
         }
         case Family::kFs: {
-          e.kind = EventKind::kFsFault;
-          e.fs_op = fsx::Op::kWrite;
+          e.kind = Kind::kFs;
+          e.fs_op = fault::FsOp::kWrite;
           e.fs_errno = rng.uniform() < 0.5 ? 28 /*ENOSPC*/ : 5 /*EIO*/;
           e.at = static_cast<int>(rng.uniform_in(1, 4));
           e.fires = static_cast<int>(rng.uniform_in(1, 2));
           e.path_substr = cfg.fs_path_substr;
-          // The fs shim has no once-marker; recoverability comes from the
-          // target's degradation path instead (see GeneratorConfig).
-          e.once = false;
           break;
         }
       }
-      sched.events.push_back(std::move(e));
+      // Every event but fs fires once across retries; the executor binds
+      // the marker to a real file per round. An fs event's recoverability
+      // comes from its target's degradation path (see GeneratorConfig).
+      if (e.kind != Kind::kFs) {
+        e.once_marker = std::string(fault::kUnboundMarker);
+      }
+      sched.events.push_back({round, std::move(e)});
     }
   }
   return sched;
@@ -188,10 +144,7 @@ std::string to_spec(const ChaosSchedule& s) {
   os << "seed " << s.seed << "\n";
   os << "rounds " << s.rounds << "\n";
   for (const ChaosEvent& e : s.events) {
-    os << "event " << e.round << '|' << event_kind_name(e.kind) << '|'
-       << e.system << '|' << e.phase << '|' << e.at << '|' << e.fires << '|'
-       << fsx::op_name(e.fs_op) << '|' << e.fs_errno << '|' << e.path_substr
-       << '|' << (e.once ? 1 : 0) << "\n";
+    os << fault::format_event(e.round, e.event) << "\n";
   }
   return os.str();
 }
@@ -213,28 +166,8 @@ ChaosSchedule parse_spec(const std::string& text) {
       s.rounds = parse_num<int>("rounds", line.substr(7));
       saw_rounds = true;
     } else if (line.rfind("event ", 0) == 0) {
-      const auto f = split_fields(line.substr(6));
-      EPGS_CHECK(f.size() == 10, "chaos spec: event line has " +
-                                     std::to_string(f.size()) +
-                                     " fields, expected 10");
-      ChaosEvent e;
-      e.round = parse_num<int>("round", f[0]);
-      e.kind = event_kind_from_name(f[1]);
-      e.system = f[2];
-      e.phase = f[3];
-      e.at = parse_num<int>("at", f[4]);
-      e.fires = parse_num<int>("fires", f[5]);
-      e.fs_op = fsx::op_from_name(f[6]);
-      e.fs_errno = parse_num<int>("errno", f[7]);
-      e.path_substr = f[8];
-      const int once = parse_num<int>("once", f[9]);
-      EPGS_CHECK(once == 0 || once == 1,
-                 "chaos spec: once must be 0 or 1, got '" + f[9] + "'");
-      e.once = once == 1;
-      EPGS_CHECK(e.round >= 0, "chaos spec: negative round");
-      EPGS_CHECK(e.at >= 1, "chaos spec: at must be >= 1");
-      EPGS_CHECK(e.fires >= 1, "chaos spec: fires must be >= 1");
-      s.events.push_back(std::move(e));
+      auto [round, e] = fault::parse_event_line(line);
+      s.events.push_back({round, std::move(e)});
     } else {
       throw EpgsError("chaos spec: unrecognized line '" + line + "'");
     }

@@ -16,61 +16,26 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "core/fs_shim.hpp"
+#include "core/fault.hpp"
 
 namespace epgs::harness::chaos {
 
-/// Which fault primitive an event arms. The first block maps onto
-/// fault::Plan kinds; the rest each map onto their own plan family, so a
-/// round can arm at most one event per family (the injector holds one
-/// process-global plan per family).
-enum class EventKind {
-  kHang,              ///< spin until the watchdog cancels (-> kTimeout)
-  kTransient,         ///< TransientError (-> retry)
-  kError,             ///< EpgsError (-> kCrash, contained)
-  kAbort,             ///< std::abort in the isolated child
-  kSegv,              ///< raise SIGSEGV — exercises crash forensics
-  kBadAlloc,          ///< std::bad_alloc (-> kOomKilled)
-  kWrongOutput,       ///< corrupt a validated result (-> kValidationFailed)
-  kKillAtCheckpoint,  ///< SIGKILL right after a durable snapshot
-  kKillAtPublish,     ///< SIGKILL inside the torn-publish window
-  kFsFault,           ///< inject errno at the fs_shim choke point
-};
-
-[[nodiscard]] std::string_view event_kind_name(EventKind k);
-/// Throws EpgsError on an unknown name (replay-spec hardening).
-[[nodiscard]] EventKind event_kind_from_name(std::string_view name);
-
-/// One armed fault within one chaos round. Which fields matter depends
-/// on the kind; unused fields keep their defaults so the spec form stays
-/// canonical (same event -> same line).
+/// One fault within one chaos round. A round arms at most one event per
+/// family (phase kinds, kill-ckpt, kill-publish, fs) so the families'
+/// fire points never shadow each other. Phase-kind events always name an
+/// *algorithm* phase ("bfs", "pagerank", ...): algorithm units run
+/// fork-isolated, so aborts/SIGSEGVs are contained, whereas builds run in
+/// the parent where an abort would kill the harness itself; and they keep
+/// at=1, because under isolation each child observes its own first
+/// matching phase start, so higher values would never fire. The executor
+/// gives every generated event but fs a once-marker (the property that
+/// makes a fatal fault recoverable); --force-violation arms one without,
+/// so it persists past every retry.
 struct ChaosEvent {
-  int round = 0;      ///< which chaos round arms this event
-  EventKind kind = EventKind::kTransient;
-  std::string system;  ///< exact System::name() match; empty = any
-  /// Phase filter for the phase kinds. The generator always sets an
-  /// *algorithm* phase name ("bfs", "pagerank", ...): algorithm units run
-  /// fork-isolated, so aborts/SIGSEGVs are contained, whereas builds run
-  /// in the parent where a kAbort would kill the harness itself.
-  std::string phase;
-  /// kKillAtCheckpoint: the covered iteration; kKillAtPublish: the Nth
-  /// publish point; kFsFault: the Nth matching syscall. Phase kinds keep
-  /// at=1 — under isolation each child observes its own first matching
-  /// phase start, so higher values would never fire.
-  int at = 1;
-  int fires = 1;                    ///< max fires (phase + fs kinds)
-  fsx::Op fs_op = fsx::Op::kWrite;  ///< kFsFault only
-  int fs_errno = 28;                ///< kFsFault only (default ENOSPC)
-  std::string path_substr;          ///< kFsFault only; empty = any path
-  /// Arm with a once-marker file so the fault fires at most once across
-  /// fork-isolated retries — the property that makes a fatal fault
-  /// recoverable. The executor turns this on for everything it
-  /// generates; --force-violation turns it off to make a fault persist
-  /// past every retry.
-  bool once = true;
+  int round = 0;  ///< which chaos round arms this event
+  fault::Event event;
 };
 
 /// Human-readable one-liner ("round 2: segv GAP/bfs (once)").
@@ -117,9 +82,9 @@ struct GeneratorConfig {
 //   rounds <K>
 //   event <round>|<kind>|<system>|<phase>|<at>|<fires>|<op>|<errno>|<path>|<once>
 //
-// Fields are '|'-separated; system/phase/path may be empty. `once` is 0
-// or 1. Unknown kinds, non-numeric numbers, or wrong field counts throw
-// EpgsError — a replay spec is user input.
+// Event lines are fault::parse_event_line / fault::format_event, the same
+// strict parser EPGS_FAULT goes through. Malformed input throws EpgsError:
+// a replay spec is user input.
 
 [[nodiscard]] std::string to_spec(const ChaosSchedule& s);
 [[nodiscard]] ChaosSchedule parse_spec(const std::string& text);

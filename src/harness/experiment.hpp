@@ -81,7 +81,7 @@ struct SupervisorOptions {
   /// without a snapshot to resume from (a full deterministic restart).
   /// kConfig/kUnsupported stay terminal: they reproduce by construction.
   /// The chaos harness runs with this on: a fault that fires once (see
-  /// fault::Plan::once_marker) plus a clean retry must reproduce the
+  /// fault::Event::once_marker) plus a clean retry must reproduce the
   /// fault-free CSV byte-for-byte.
   bool retry_all_failures = false;
   /// Exponential backoff: base * 2^(attempt-1) * (1 + U[0,1)) seconds,

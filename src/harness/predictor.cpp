@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/error.hpp"
-#include "core/timer.hpp"
 #include "gen/kronecker.hpp"
 #include "graph/transforms.hpp"
 #include "systems/common/registry.hpp"
@@ -72,20 +71,21 @@ ProbeMeasurement probe(const std::string& system_name, Algorithm alg,
   pm.build_bytes = sys->log().find(phase::kBuild)->work.bytes_touched;
 
   const auto roots = select_roots(el, 2, seed ^ 0xB00ULL);
-  WallTimer t;
-  for (const vid_t root : roots) {
-    switch (alg) {
-      case Algorithm::kBfs: (void)sys->bfs(root); break;
-      case Algorithm::kSssp: (void)sys->sssp(root); break;
-      case Algorithm::kPageRank: (void)sys->pagerank(); break;
-      case Algorithm::kCdlp: (void)sys->cdlp(); break;
-      case Algorithm::kLcc: (void)sys->lcc(); break;
-      case Algorithm::kWcc: (void)sys->wcc(); break;
-      case Algorithm::kTc: (void)sys->tc(); break;
-      case Algorithm::kBc: (void)sys->bc(root); break;
+  const double pass_seconds = min_pass_seconds([&] {
+    for (const vid_t root : roots) {
+      switch (alg) {
+        case Algorithm::kBfs: (void)sys->bfs(root); break;
+        case Algorithm::kSssp: (void)sys->sssp(root); break;
+        case Algorithm::kPageRank: (void)sys->pagerank(); break;
+        case Algorithm::kCdlp: (void)sys->cdlp(); break;
+        case Algorithm::kLcc: (void)sys->lcc(); break;
+        case Algorithm::kWcc: (void)sys->wcc(); break;
+        case Algorithm::kTc: (void)sys->tc(); break;
+        case Algorithm::kBc: (void)sys->bc(root); break;
+      }
     }
-  }
-  pm.seconds = t.seconds() / static_cast<double>(roots.size());
+  });
+  pm.seconds = pass_seconds / static_cast<double>(roots.size());
   return pm;
 }
 

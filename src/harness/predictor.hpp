@@ -10,9 +10,12 @@
 // will-it-finish question before committing hours to an experiment.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "core/timer.hpp"
 #include "graph/edge_list.hpp"
 #include "harness/experiment.hpp"
 
@@ -33,6 +36,24 @@ struct GraphStats {
 /// second moment.
 double estimated_work_units(Algorithm alg, const GraphStats& stats,
                             int expected_pagerank_iterations = 50);
+
+/// Passes a probe timing takes the minimum of. A measurement compared
+/// against a prediction should take the same minimum (min_pass_seconds),
+/// so that one scheduling stall on either side cannot decide the
+/// comparison.
+inline constexpr int kTimingPasses = 5;
+
+/// Minimum wall time over kTimingPasses calls of `pass`.
+template <typename Fn>
+[[nodiscard]] double min_pass_seconds(Fn&& pass) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kTimingPasses; ++i) {
+    WallTimer t;
+    pass();
+    best = std::min(best, t.seconds());
+  }
+  return best;
+}
 
 class Predictor {
  public:

@@ -3,9 +3,9 @@
 #include <utility>
 
 #include "core/crash_report.hpp"
+#include "core/fault.hpp"
 #include "core/timer.hpp"
 #include "graph/snap_io.hpp"
-#include "systems/common/fault_injection.hpp"
 
 namespace epgs {
 namespace {

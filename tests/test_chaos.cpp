@@ -50,37 +50,38 @@ TEST(ChaosSchedule, GeneratedEventsObeyContainmentRules) {
   const auto cfg = small_targets();
   const auto sched = generate_schedule(7, 8, cfg);
   ASSERT_FALSE(sched.events.empty());
-  for (const ChaosEvent& e : sched.events) {
-    EXPECT_GE(e.round, 0);
-    EXPECT_LT(e.round, sched.rounds);
+  for (const ChaosEvent& ce : sched.events) {
+    const fault::Event& e = ce.event;
+    EXPECT_GE(ce.round, 0);
+    EXPECT_LT(ce.round, sched.rounds);
     switch (e.kind) {
-      case EventKind::kFsFault:
-        // The fs shim has no once-marker; recoverability comes from the
+      case fault::Kind::kFs:
+        // fs events carry no once-marker; recoverability comes from the
         // target's degradation path, never from fire-once semantics.
-        EXPECT_FALSE(e.once);
+        EXPECT_FALSE(e.once());
         EXPECT_EQ(e.path_substr, cfg.fs_path_substr);
         break;
-      case EventKind::kKillAtCheckpoint:
-      case EventKind::kKillAtPublish:
-        EXPECT_TRUE(e.once);
+      case fault::Kind::kKillCkpt:
+      case fault::Kind::kKillPublish:
+        EXPECT_TRUE(e.once());
         EXPECT_GE(e.at, 1);
         EXPECT_LE(e.at, 3);
         break;
-      case EventKind::kWrongOutput:
+      case fault::Kind::kWrongOutput:
         // Only per-trial-validated phases can catch a corruption.
         EXPECT_NE(std::find(cfg.validated_phases.begin(),
                             cfg.validated_phases.end(), e.phase),
                   cfg.validated_phases.end())
-            << describe(e);
+            << describe(ce);
         [[fallthrough]];
       default:
         // Phase kinds: fork children count phase starts from zero, so
         // anything but at=1 would never fire under isolation.
-        EXPECT_EQ(e.at, 1) << describe(e);
-        EXPECT_TRUE(e.once);
+        EXPECT_EQ(e.at, 1) << describe(ce);
+        EXPECT_TRUE(e.once());
         EXPECT_NE(std::find(cfg.phases.begin(), cfg.phases.end(), e.phase),
                   cfg.phases.end())
-            << describe(e);
+            << describe(ce);
         break;
     }
   }
@@ -91,7 +92,7 @@ TEST(ChaosSchedule, WrongOutputExcludedWithoutValidatedPhases) {
   cfg.validated_phases.clear();
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     for (const ChaosEvent& e : generate_schedule(seed, 6, cfg).events) {
-      EXPECT_NE(e.kind, EventKind::kWrongOutput) << "seed " << seed;
+      EXPECT_NE(e.event.kind, fault::Kind::kWrongOutput) << "seed " << seed;
     }
   }
 }
@@ -115,16 +116,19 @@ TEST(ChaosSpec, ParsesHandWrittenEvent) {
       "event 1|fs|||3|2|write|28|itertrace|0\n"
       "event 0|segv|GAP|bfs|1|1|write|28||1\n");
   ASSERT_EQ(s.events.size(), 2u);
-  EXPECT_EQ(s.events[0].kind, EventKind::kFsFault);
-  EXPECT_EQ(s.events[0].at, 3);
-  EXPECT_EQ(s.events[0].fires, 2);
-  EXPECT_EQ(s.events[0].fs_errno, 28);
-  EXPECT_EQ(s.events[0].path_substr, "itertrace");
-  EXPECT_FALSE(s.events[0].once);
-  EXPECT_EQ(s.events[1].kind, EventKind::kSegv);
-  EXPECT_EQ(s.events[1].system, "GAP");
-  EXPECT_EQ(s.events[1].phase, "bfs");
-  EXPECT_TRUE(s.events[1].once);
+  const fault::Event& fs_event = s.events[0].event;
+  EXPECT_EQ(s.events[0].round, 1);
+  EXPECT_EQ(fs_event.kind, fault::Kind::kFs);
+  EXPECT_EQ(fs_event.at, 3);
+  EXPECT_EQ(fs_event.fires, 2);
+  EXPECT_EQ(fs_event.fs_errno, 28);
+  EXPECT_EQ(fs_event.path_substr, "itertrace");
+  EXPECT_FALSE(fs_event.once());
+  const fault::Event& segv = s.events[1].event;
+  EXPECT_EQ(segv.kind, fault::Kind::kSegv);
+  EXPECT_EQ(segv.system, "GAP");
+  EXPECT_EQ(segv.phase, "bfs");
+  EXPECT_TRUE(segv.once());
 }
 
 TEST(ChaosSpec, RejectsMalformedInput) {
@@ -160,16 +164,17 @@ std::vector<ChaosEvent> synthetic_events(int n) {
   for (int i = 0; i < n; ++i) {
     ChaosEvent e;
     e.round = 0;
-    e.kind = EventKind::kTransient;
-    e.system = "E" + std::to_string(i);  // identity tag for the probes
+    e.event.kind = fault::Kind::kTransient;
+    e.event.system = "E" + std::to_string(i);  // identity tag for probes
     events.push_back(e);
   }
   return events;
 }
 
 bool contains(const std::vector<ChaosEvent>& events, const char* tag) {
-  return std::any_of(events.begin(), events.end(),
-                     [&](const ChaosEvent& e) { return e.system == tag; });
+  return std::any_of(
+      events.begin(), events.end(),
+      [&](const ChaosEvent& e) { return e.event.system == tag; });
 }
 
 TEST(ChaosShrink, FindsTheSingleGuiltyEvent) {
@@ -177,7 +182,7 @@ TEST(ChaosShrink, FindsTheSingleGuiltyEvent) {
   const auto res = shrink_events(
       failing, [](const std::vector<ChaosEvent>& s) { return contains(s, "E5"); });
   ASSERT_EQ(res.minimal.size(), 1u);
-  EXPECT_EQ(res.minimal[0].system, "E5");
+  EXPECT_EQ(res.minimal[0].event.system, "E5");
   EXPECT_GT(res.probes, 0);
 }
 
@@ -187,8 +192,8 @@ TEST(ChaosShrink, FindsAnInteractingPair) {
     return contains(s, "E1") && contains(s, "E7");
   });
   ASSERT_EQ(res.minimal.size(), 2u);
-  EXPECT_EQ(res.minimal[0].system, "E1");  // original order preserved
-  EXPECT_EQ(res.minimal[1].system, "E7");
+  EXPECT_EQ(res.minimal[0].event.system, "E1");  // original order preserved
+  EXPECT_EQ(res.minimal[1].event.system, "E7");
 }
 
 TEST(ChaosShrink, SingleEventIsAlreadyMinimal) {
@@ -278,8 +283,8 @@ TEST_F(ChaosRun, ForcedViolationIsDetectedAndShrinksToOneEvent) {
   EXPECT_TRUE(rep.violated);
   ASSERT_LE(rep.minimal.size(), 2u);
   ASSERT_FALSE(rep.minimal.empty());
-  EXPECT_EQ(rep.minimal[0].kind, EventKind::kWrongOutput);
-  EXPECT_FALSE(rep.minimal[0].once);
+  EXPECT_EQ(rep.minimal[0].event.kind, fault::Kind::kWrongOutput);
+  EXPECT_FALSE(rep.minimal[0].event.once());
   ASSERT_FALSE(rep.minimal_spec_path.empty());
   EXPECT_TRUE(fs::exists(rep.minimal_spec_path));
   // The written reproducer must itself parse — it feeds --replay.

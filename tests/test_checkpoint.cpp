@@ -18,9 +18,9 @@
 
 #include "core/cancellation.hpp"
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "core/parallel.hpp"
 #include "harness/supervisor.hpp"
-#include "systems/common/fault_injection.hpp"
 #include "systems/common/registry.hpp"
 #include "test_util.hpp"
 
@@ -80,7 +80,7 @@ TEST(Checkpoint, StateReaderRejectsMismatches) {
 
 class CheckpointDir : public ::testing::Test {
  protected:
-  void TearDown() override { fault::disarm_all(); }
+  void TearDown() override { fault::disarm(); }
 
   [[nodiscard]] CheckpointConfig config(const std::string& key = "u|0",
                                         int every = 1) const {
@@ -242,19 +242,20 @@ TEST_F(CheckpointDir, StageMismatchForcesFullRestart) {
 // publishes it (crash, SIGKILL, power cut). The invariant: the snapshot
 // path afterwards holds either nothing or the previous valid snapshot —
 // never a torn frame that peek_iteration() accepts. A real SIGKILL in a
-// fork child exercises the exact window via the publish hook.
+// fork child exercises the exact window via a kill-publish fault event.
 
 TEST_F(CheckpointDir, KillAtFirstPublishLeavesNoSnapshot) {
   const auto cfg = config("pub|1");
   const pid_t pid = ::fork();
   if (pid == 0) {
-    fault::arm_kill_at_publish({1, {}});
+    fault::Scoped kill(
+        fault::Event{.kind = fault::Kind::kKillPublish, .at = 1});
     CheckpointSession s(cfg);
     ToyState state;
     (void)s.begin("toy", state);
     state.sum = 1;
     (void)s.tick(1);  // dies between the tmp fsync and the rename
-    ::_exit(0);       // unreachable: the hook SIGKILLed us
+    ::_exit(0);       // unreachable: the fault SIGKILLed us
   }
   int status = 0;
   ::waitpid(pid, &status, 0);
@@ -273,7 +274,8 @@ TEST_F(CheckpointDir, KillAtSecondPublishKeepsPriorValidSnapshot) {
   const auto cfg = config("pub|2");
   const pid_t pid = ::fork();
   if (pid == 0) {
-    fault::arm_kill_at_publish({2, {}});
+    fault::Scoped kill(
+        fault::Event{.kind = fault::Kind::kKillPublish, .at = 2});
     CheckpointSession s(cfg);
     ToyState state;
     (void)s.begin("toy", state);
@@ -345,9 +347,13 @@ auto run_killed_and_resumed(const std::string& system, const EdgeList& el,
     sys->set_cancellation(&token);
     CheckpointSession session(cfg);
     sys->set_checkpoint_session(&session);
-    fault::arm_cancel_at_iteration({system, kill_iter});
-    EXPECT_THROW((void)alg(*sys), CancelledError);
-    fault::disarm_cancel_at_iteration();
+    {
+      fault::Scoped cancel(
+          fault::Event{.kind = fault::Kind::kCancel,
+                       .system = system,
+                       .at = static_cast<int>(kill_iter)});
+      EXPECT_THROW((void)alg(*sys), CancelledError);
+    }
     session.detach();
     EXPECT_TRUE(session.snapshot_exists())
         << system << " left no snapshot behind";
@@ -435,9 +441,9 @@ TEST_F(KillResume, CancelWithoutSessionStillJustCancels) {
   sys->build();
   CancellationToken token;
   sys->set_cancellation(&token);
-  fault::arm_cancel_at_iteration({"GAP", 2});
+  fault::Scoped cancel(
+      fault::Event{.kind = fault::Kind::kCancel, .system = "GAP", .at = 2});
   EXPECT_THROW((void)sys->pagerank(), CancelledError);
-  fault::disarm_cancel_at_iteration();
 }
 
 // --- supervised retry from a snapshot ------------------------------------
@@ -453,7 +459,8 @@ TEST_F(KillResume, SupervisorRetriesSigkilledChildFromSnapshot) {
   opts.backoff_base_seconds = 0.0;
   opts.backoff_max_seconds = 0.0;
   CheckpointSession session(config("kill|GAP"));
-  fault::arm_kill_at_checkpoint({"GAP", 3});
+  fault::Scoped kill(fault::Event{
+      .kind = fault::Kind::kKillCkpt, .system = "GAP", .at = 3});
   Xoshiro256 rng(1);
   const harness::TrialReport rep = harness::supervise_unit(
       [&](CancellationToken& token) {
@@ -467,7 +474,6 @@ TEST_F(KillResume, SupervisorRetriesSigkilledChildFromSnapshot) {
         return std::vector<harness::RunRecord>{};
       },
       opts, rng, &session);
-  fault::disarm_kill_at_checkpoint();
   EXPECT_EQ(rep.outcome, Outcome::kSuccess) << rep.message;
   EXPECT_EQ(rep.attempts, 2);
   EXPECT_EQ(rep.resumed_from_iter, 3);

@@ -4,15 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "cli/args.hpp"
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "graph/snap_io.hpp"
 #include "harness/runner.hpp"
-#include "systems/common/fault_injection.hpp"
 #include "test_util.hpp"
 
 namespace epgs::cli {
@@ -257,10 +258,8 @@ TEST(Cli, RunExitsNonzeroOnDnfUnlessAllowed) {
 
   std::string out;
   {
-    fault::Scoped fault({.system = "GAP",
-                         .kind = fault::Kind::kError,
-                         .max_fires = 1,
-                         .phase = "bfs"});
+    fault::Scoped fault(
+        {.kind = fault::Kind::kError, .system = "GAP", .phase = "bfs"});
     EXPECT_EQ(run_cli(argv, &out), 3)
         << "a sweep with DNFs must not exit 0: " << out;
   }
@@ -270,10 +269,8 @@ TEST(Cli, RunExitsNonzeroOnDnfUnlessAllowed) {
 
   // Same sweep, same fault, --allow-dnf: partial data is accepted.
   {
-    fault::Scoped fault({.system = "GAP",
-                         .kind = fault::Kind::kError,
-                         .max_fires = 1,
-                         .phase = "bfs"});
+    fault::Scoped fault(
+        {.kind = fault::Kind::kError, .system = "GAP", .phase = "bfs"});
     auto tolerant = argv;
     tolerant.emplace_back("--allow-dnf");
     EXPECT_EQ(run_cli(tolerant, &out), 0) << out;
@@ -288,6 +285,50 @@ TEST(Cli, RunExitsNonzeroOnDnfUnlessAllowed) {
   bool has_crash = false;
   for (const auto& r : recs) has_crash |= r.outcome == Outcome::kCrash;
   EXPECT_TRUE(has_crash);
+}
+
+/// Sets EPGS_FAULT for one scope; unsets it and disarms on exit.
+class FaultEnv {
+ public:
+  explicit FaultEnv(const char* plan) { ::setenv("EPGS_FAULT", plan, 1); }
+  ~FaultEnv() {
+    ::unsetenv("EPGS_FAULT");
+    fault::disarm();
+  }
+  FaultEnv(const FaultEnv&) = delete;
+  FaultEnv& operator=(const FaultEnv&) = delete;
+};
+
+TEST(Cli, FaultEnvArmsValidPlanAndRejectsMalformedOnes) {
+  // A malformed plan is a clean usage error (exit 1, message, nothing
+  // armed), never an uncaught exception, whichever line is bad.
+  for (const char* bad :
+       {"write:bogus", "GAP:x", "event 0|kill-ckpt|||3x|1|write|28||0",
+        "event 0|kill-ckpt|||-1|1|write|28||0",
+        "event 0|error|GAP|bfs|1|1|write|28||0;event 0|nuke|||1|1|write|28||0",
+        "event 0|error|GAP|bfs|1|1|write|28||1"}) {
+    FaultEnv env(bad);
+    std::string out;
+    EXPECT_EQ(run_cli({"help"}, &out), 1) << bad;
+    EXPECT_NE(out.find("fault"), std::string::npos) << out;
+    EXPECT_FALSE(fault::armed()) << bad << " left a plan armed";
+  }
+
+  // A valid plan arms before the command runs: the injected error DNFs
+  // the sweep exactly like an in-process fault::Scoped does.
+  TempDir dir;
+  FaultEnv env("event 0|error|GAP|bfs|1|1|write|28||0");
+  std::string out;
+  EXPECT_EQ(run_cli({"run", "--kind", "kron", "--scale", "6", "--systems",
+                     "GAP", "--algorithms", "BFS", "--roots", "2",
+                     "--threads", "1", "--csv",
+                     (dir.path() / "f.csv").string()},
+                    &out),
+            3)
+      << out;
+  EXPECT_TRUE(fault::armed());
+  EXPECT_EQ(fault::fires(0), 1);
+  EXPECT_NE(out.find("crash"), std::string::npos) << out;
 }
 
 TEST(Cli, RunJournalAndResumeFlags) {

@@ -1,7 +1,8 @@
 // The filesystem shim: typed errno surfacing, deterministic fault
-// injection (ENOSPC at the Nth write, EIO on read, short writes, failed
-// rename/fsync, mmap failure), and the OutStream writer every durable
-// file in the harness goes through.
+// injection through `fs` / `fs-short` fault events (ENOSPC at the Nth
+// write, EIO on read, short writes, failed rename/fsync, mmap failure),
+// the strict EPGS_FAULT event-line parser, and the OutStream writer every
+// durable file in the harness goes through.
 #include "core/fs_shim.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "core/mapped_file.hpp"
 #include "test_util.hpp"
 
@@ -20,9 +22,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using fault::FsOp;
+
+/// An `fs` event failing `op` with `err` on every matching call.
+fault::Event fs_fault(FsOp op, int err) {
+  return {.kind = fault::Kind::kFs,
+          .fires = 1 << 30,
+          .fs_op = op,
+          .fs_errno = err};
+}
+
 class FsShimDir : public ::testing::Test {
  protected:
-  void TearDown() override { fsx::disarm(); }
+  void TearDown() override { fault::disarm(); }
 
   [[nodiscard]] fs::path file(const std::string& name) const {
     return dir_.path() / name;
@@ -69,11 +81,9 @@ TEST_F(FsShimDir, OutStreamAppendMode) {
 }
 
 TEST_F(FsShimDir, EnospcAtNthWriteThrowsTyped) {
-  fsx::Plan plan;
-  plan.op = fsx::Op::kWrite;
-  plan.error_code = ENOSPC;
-  plan.at_call = 2;  // first flush succeeds, second hits the wall
-  fsx::Scoped armed(plan);
+  fault::Event e = fs_fault(FsOp::kWrite, ENOSPC);
+  e.at = 2;  // first flush succeeds, second hits the wall
+  fault::Scoped armed(e);
 
   const auto p = file("enospc.bin");
   fsx::OutStream out(p);
@@ -88,15 +98,13 @@ TEST_F(FsShimDir, EnospcAtNthWriteThrowsTyped) {
         out.close();
       },
       ResourceExhaustedError);
-  EXPECT_GE(fsx::fire_count(), 1);
+  EXPECT_GE(fault::fires(0), 1);
 }
 
 TEST_F(FsShimDir, ShortWritesAreRetriedToCompletion) {
-  fsx::Plan plan;
-  plan.op = fsx::Op::kWrite;
-  plan.short_write = true;
-  plan.max_fires = 3;  // first few writes land torn, the loop must finish
-  fsx::Scoped armed(plan);
+  // The first few writes land torn; the loop must finish them.
+  fault::Scoped armed(
+      fault::Event{.kind = fault::Kind::kFsShort, .fires = 3});
 
   const auto p = file("short.bin");
   std::string payload;
@@ -106,16 +114,14 @@ TEST_F(FsShimDir, ShortWritesAreRetriedToCompletion) {
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     out.close();
   }
-  EXPECT_EQ(fsx::fire_count(), 3);
+  EXPECT_EQ(fault::fires(0), 3);
   EXPECT_EQ(slurp(p), payload);  // no silent truncation
 }
 
 TEST_F(FsShimDir, PathFilterScopesFaultsToMatchingFiles) {
-  fsx::Plan plan;
-  plan.op = fsx::Op::kWrite;
-  plan.error_code = ENOSPC;
-  plan.path_substr = "victim";
-  fsx::Scoped armed(plan);
+  fault::Event e = fs_fault(FsOp::kWrite, ENOSPC);
+  e.path_substr = "victim";
+  fault::Scoped armed(e);
 
   {
     fsx::OutStream ok(file("healthy.txt"));
@@ -134,20 +140,14 @@ TEST_F(FsShimDir, PathFilterScopesFaultsToMatchingFiles) {
 
 TEST_F(FsShimDir, RenameAndFsyncInjection) {
   {
-    fsx::Plan plan;
-    plan.op = fsx::Op::kRename;
-    plan.error_code = ENOSPC;
-    fsx::Scoped armed(plan);
+    fault::Scoped armed(fs_fault(FsOp::kRename, ENOSPC));
     std::ofstream(file("a.txt")) << "x";
     EXPECT_THROW(fsx::rename(file("a.txt"), file("b.txt")),
                  ResourceExhaustedError);
     EXPECT_TRUE(fs::exists(file("a.txt")));  // injected before the syscall
   }
   {
-    fsx::Plan plan;
-    plan.op = fsx::Op::kFsync;
-    plan.error_code = EIO;
-    fsx::Scoped armed(plan);
+    fault::Scoped armed(fs_fault(FsOp::kFsync, EIO));
     fsx::OutStream out(file("c.txt"));
     out << "y";
     EXPECT_THROW(out.sync_now(), IoError);
@@ -156,10 +156,8 @@ TEST_F(FsShimDir, RenameAndFsyncInjection) {
 
 TEST_F(FsShimDir, OpenInjectionAndRealRenameWork) {
   {
-    fsx::Plan plan;
-    plan.op = fsx::Op::kOpen;
-    plan.error_code = EMFILE;  // fd exhaustion is a resource fault
-    fsx::Scoped armed(plan);
+    // fd exhaustion is a resource fault.
+    fault::Scoped armed(fs_fault(FsOp::kOpen, EMFILE));
     EXPECT_THROW(fsx::OutStream(file("nope.txt")), ResourceExhaustedError);
   }
   std::ofstream(file("from.txt")) << "z";
@@ -186,10 +184,7 @@ TEST_F(FsShimDir, MmapFaultFallsBackToIdenticalBufferedRead) {
     mapped_view = std::string(m.view());
   }
   {
-    fsx::Plan plan;
-    plan.op = fsx::Op::kMmap;
-    plan.error_code = ENOMEM;
-    fsx::Scoped armed(plan);
+    fault::Scoped armed(fs_fault(FsOp::kMmap, ENOMEM));
     const MappedFile m(p);
     EXPECT_FALSE(m.is_mapped());  // degraded, not failed
     EXPECT_EQ(m.view(), mapped_view);
@@ -200,10 +195,7 @@ TEST_F(FsShimDir, ReadEioIsTypedNotMistakenForEof) {
   const auto p = file("sick.bin");
   std::ofstream(p, std::ios::binary) << std::string(4096, 'd');
 
-  fsx::Plan plan;
-  plan.op = fsx::Op::kRead;
-  plan.error_code = EIO;
-  fsx::Scoped armed(plan);
+  fault::Scoped armed(fs_fault(FsOp::kRead, EIO));
   // Force the buffered path so reads actually go through read(2).
   MappedFile::force_buffered(true);
   try {
@@ -218,47 +210,78 @@ TEST_F(FsShimDir, ReadEioIsTypedNotMistakenForEof) {
 }
 
 TEST_F(FsShimDir, SpecParserRoundTrip) {
-  fsx::arm_from_spec("write:ENOSPC:at=3:count=2:path=cache");
-  EXPECT_TRUE(fsx::armed());
-  fsx::disarm();
-  EXPECT_FALSE(fsx::armed());
+  // EPGS_FAULT text: `;`-separated epgs-chaos-v1 event lines.
+  const auto plan = fault::parse_plan(
+      "event 0|fs|||3|2|write|28|cache|0;"
+      "event 0|fs-short|||1|1|write|28||0;"
+      "event 0|fs|||1|1|read|5||0");
+  ASSERT_EQ(plan.size(), 3u);
+  EXPECT_EQ(plan[0].kind, fault::Kind::kFs);
+  EXPECT_EQ(plan[0].fs_op, FsOp::kWrite);
+  EXPECT_EQ(plan[0].fs_errno, ENOSPC);
+  EXPECT_EQ(plan[0].at, 3);
+  EXPECT_EQ(plan[0].fires, 2);
+  EXPECT_EQ(plan[0].path_substr, "cache");
+  EXPECT_EQ(plan[1].kind, fault::Kind::kFsShort);
+  EXPECT_EQ(plan[2].fs_op, FsOp::kRead);
+  EXPECT_EQ(plan[2].fs_errno, EIO);
+  for (const fault::Event& e : plan) {
+    EXPECT_FALSE(e.once());
+    const std::string line = fault::format_event(0, e);
+    EXPECT_EQ(fault::format_event(0, fault::parse_event_line(line).second),
+              line);
+  }
 
-  fsx::arm_from_spec("write:short");
-  EXPECT_TRUE(fsx::armed());
-  fsx::disarm();
+  fault::arm(plan);
+  EXPECT_TRUE(fault::armed());
+  fault::disarm();
+  EXPECT_FALSE(fault::armed());
 
-  fsx::arm_from_spec("read:EIO:at=1:count=1");
-  EXPECT_TRUE(fsx::armed());
-  fsx::disarm();
-
-  EXPECT_THROW(fsx::arm_from_spec("write"), EpgsError);
-  EXPECT_THROW(fsx::arm_from_spec("chmod:ENOSPC"), EpgsError);
-  EXPECT_THROW(fsx::arm_from_spec("write:EWHAT"), EpgsError);
-  EXPECT_THROW(fsx::arm_from_spec("write:ENOSPC:at=0"), EpgsError);
-  EXPECT_THROW(fsx::arm_from_spec("write:ENOSPC:bogus=1"), EpgsError);
-  EXPECT_FALSE(fsx::armed());
+  EXPECT_THROW((void)fault::parse_plan("event 0|fs|||1|1|chmod|28||0"),
+               EpgsError);
+  EXPECT_THROW((void)fault::parse_plan("event 0|fs|||0|1|write|28||0"),
+               EpgsError);
+  EXPECT_FALSE(fault::armed());
 }
 
 TEST_F(FsShimDir, SpecParserRejectsEveryMalformedShape) {
-  // $EPGS_FS_FAULT is operator input: each malformed shape must be its
-  // own typed rejection, never a silently-misarmed plan.
+  // $EPGS_FAULT is operator input: each malformed shape must be its own
+  // typed rejection, never a silently-misarmed plan.
   const auto expect_reject = [](const char* spec) {
-    EXPECT_THROW(fsx::arm_from_spec(spec), EpgsError) << spec;
-    EXPECT_FALSE(fsx::armed()) << spec << " left a plan armed";
+    EXPECT_THROW(fault::arm(fault::parse_plan(spec)), EpgsError) << spec;
+    EXPECT_FALSE(fault::armed()) << spec << " left a plan armed";
   };
-  expect_reject("write::ENOSPC");          // doubled ':' = empty field
-  expect_reject("write:ENOSPC:");          // trailing ':' = empty field
-  expect_reject(":ENOSPC");                // empty op
-  expect_reject("launder:ENOSPC");         // unknown op
-  expect_reject("write:28");               // errno must be named, not raw
-  expect_reject("write:enospc");           // names are case-sensitive
-  expect_reject("write:ENOSPC:at=12abc");  // trailing junk in integer
-  expect_reject("write:ENOSPC:at=");       // empty integer
-  expect_reject("write:ENOSPC:count=");    // empty integer
-  expect_reject("write:ENOSPC:count=0");   // count must be >= 1
-  expect_reject("write:ENOSPC:count=-2");
-  expect_reject("write:ENOSPC:path=");     // path= needs a substring
-  expect_reject("write:ENOSPC:at");        // field without '='
+  expect_reject("");                                     // empty line
+  expect_reject("event 0|fs|||1|1|write|28||0;");        // trailing ';'
+  expect_reject("event 0|fs|||1|1|write|28||0;;event 0|fs|||1|1|read|5||0");
+  expect_reject("0|fs|||1|1|write|28||0");               // no `event `
+  expect_reject("event |fs|||1|1|write|28||0");          // empty round
+  expect_reject("event 0||||1|1|write|28||0");           // empty kind
+  expect_reject("event 0|fs|||1|1||28||0");              // empty op
+  expect_reject("event 0|fs|||1|1|write|||0");           // empty errno
+  expect_reject("event 0|fs|||1|1|write|28||");          // empty once
+  expect_reject("event 0|nuke|||1|1|write|28||0");       // unknown kind
+  expect_reject("event 0|bad-alloc|||1|1|write|28||0");  // spelled badalloc
+  expect_reject("event 0|fs|||1|1|launder|28||0");       // unknown op
+  expect_reject("event 0|fs|||1|1|write|ENOSPC||0");     // errno is numeric
+  expect_reject("event 0|fs|||12abc|1|write|28||0");     // trailing junk
+  expect_reject("event 0|fs|||1|1x|write|28||0");
+  expect_reject("event 0|fs|||1|1|write|28x||0");
+  expect_reject("event 0|fs|||0|1|write|28||0");         // at must be >= 1
+  expect_reject("event 0|fs|||-1|1|write|28||0");
+  expect_reject("event 0|fs|||1|0|write|28||0");         // fires >= 1
+  expect_reject("event 0|fs|||1|-2|write|28||0");
+  expect_reject("event 0|fs|||1|1|write|0||0");          // errno >= 1
+  expect_reject("event 0|fs|||1|1|write|28|");           // 9 fields
+  expect_reject("event 0|fs|||1|1|write|28||0|x");       // 11 fields
+  expect_reject("event 1|fs|||1|1|write|28||0");         // round must be 0
+  expect_reject("event 0|fs|||1|1|write|28||2");         // once is 0 or 1
+  expect_reject("event 0|fs|||1|1|write|28||1");         // no marker file
+  // Five events exceed the note slots; nothing of the plan may stick.
+  expect_reject(
+      "event 0|fs|||1|1|write|28||0;event 0|fs|||1|1|write|28||0;"
+      "event 0|fs|||1|1|write|28||0;event 0|fs|||1|1|write|28||0;"
+      "event 0|fs|||1|1|write|28||0");
 }
 
 }  // namespace

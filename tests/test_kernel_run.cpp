@@ -18,10 +18,10 @@
 
 #include "core/cancellation.hpp"
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "core/parallel.hpp"
 #include "harness/analysis.hpp"
 #include "harness/runner.hpp"
-#include "systems/common/fault_injection.hpp"
 #include "systems/common/registry.hpp"
 #include "test_util.hpp"
 
@@ -137,7 +137,7 @@ TEST(KernelRunTelemetry, TimelineRoundTripsThroughLogText) {
 
 class KernelCheckpointSweep : public ::testing::Test {
  protected:
-  void TearDown() override { fault::disarm_cancel_at_iteration(); }
+  void TearDown() override { fault::disarm(); }
 
   [[nodiscard]] CheckpointConfig config(const std::string& key) const {
     CheckpointConfig cfg;
@@ -161,9 +161,11 @@ class KernelCheckpointSweep : public ::testing::Test {
       sys->set_cancellation(&token);
       CheckpointSession session(config(key));
       sys->set_checkpoint_session(&session);
-      fault::arm_cancel_at_iteration({system, /*at_iteration=*/1});
-      EXPECT_THROW(alg(*sys), CancelledError) << key;
-      fault::disarm_cancel_at_iteration();
+      {
+        fault::Scoped cancel(fault::Event{
+            .kind = fault::Kind::kCancel, .system = system, .at = 1});
+        EXPECT_THROW(alg(*sys), CancelledError) << key;
+      }
       session.detach();
       EXPECT_TRUE(session.snapshot_exists())
           << key << " left no snapshot behind";

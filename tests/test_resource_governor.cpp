@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/fs_shim.hpp"
+#include "core/fault.hpp"
 #include "harness/analysis.hpp"
 #include "harness/dataset_pipeline.hpp"
 #include "harness/runner.hpp"
@@ -26,7 +26,7 @@ namespace fs = std::filesystem;
 class GovernorDir : public ::testing::Test {
  protected:
   void SetUp() override { reset_pipeline_stats(); }
-  void TearDown() override { fsx::disarm(); }
+  void TearDown() override { fault::disarm(); }
 
   test::TempDir dir_;
 };
@@ -146,12 +146,12 @@ TEST_F(GovernorDir, JournalDegradesOnDiskFullSweepContinues) {
   auto cfg = tiny_config();
   cfg.supervisor.journal_path = (dir_.path() / "journal.txt").string();
 
-  fsx::Plan plan;
-  plan.op = fsx::Op::kWrite;
-  plan.error_code = ENOSPC;
-  plan.path_substr = "journal.txt";
-  plan.at_call = 2;  // header lands; the first unit group hits the wall
-  fsx::Scoped armed(plan);
+  // The header lands; the first unit group hits the wall.
+  fault::Scoped armed(fault::Event{.kind = fault::Kind::kFs,
+                                   .at = 2,
+                                   .fires = 1 << 30,
+                                   .fs_errno = ENOSPC,
+                                   .path_substr = "journal.txt"});
 
   const auto result = run_experiment(cfg);
   EXPECT_FALSE(result.journal_warning.empty());
@@ -166,11 +166,10 @@ TEST_F(GovernorDir, CacheEnospcDegradesToUncachedRun) {
   auto cfg = tiny_config();
   cfg.dataset.cache_dir = (dir_.path() / "cache").string();
 
-  fsx::Plan plan;
-  plan.op = fsx::Op::kWrite;
-  plan.error_code = ENOSPC;
-  plan.path_substr = "cache";
-  fsx::Scoped armed(plan);
+  fault::Scoped armed(fault::Event{.kind = fault::Kind::kFs,
+                                   .fires = 1 << 30,
+                                   .fs_errno = ENOSPC,
+                                   .path_substr = "cache"});
 
   const auto result = run_experiment(cfg);
   EXPECT_TRUE(result.dataset_degraded);

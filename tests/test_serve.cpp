@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "core/fault.hpp"
 #include "harness/records.hpp"
 #include "harness/runner.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "systems/common/fault_injection.hpp"
 #include "test_util.hpp"
 
 namespace epgs {
@@ -171,9 +171,9 @@ TEST(ServeAdmission, QueueFullIsTypedRejection) {
   // Wedge the worker: the first GAP kernel phase hangs until the
   // deadline-fed watchdog cancels it (~3s). Everything below happens
   // while that batch occupies the worker.
-  fault::Scoped hang(fault::Plan{.system = "GAP",
-                                 .kind = fault::Kind::kHang,
-                                 .phase = "bfs"});
+  fault::Scoped hang(fault::Event{.kind = fault::Kind::kHang,
+                                  .system = "GAP",
+                                  .phase = "bfs"});
   const auto wedge = make_run_request(6, 21, "GAP", harness::Algorithm::kBfs,
                                       /*roots=*/1, /*deadline_ms=*/3000);
   serve::Reply wedge_reply;
@@ -242,9 +242,9 @@ TEST(ServeAdmission, ExpiredDeadlineInQueueGetsTypedReplyWithoutExecution) {
   opts.socket_path = (tmp.path() / "epg.sock").string();
   serve::Server server(opts);
 
-  fault::Scoped hang(fault::Plan{.system = "GAP",
-                                 .kind = fault::Kind::kHang,
-                                 .phase = "bfs"});
+  fault::Scoped hang(fault::Event{.kind = fault::Kind::kHang,
+                                  .system = "GAP",
+                                  .phase = "bfs"});
   const auto wedge = make_run_request(6, 31, "GAP", harness::Algorithm::kBfs,
                                       /*roots=*/1, /*deadline_ms=*/1000);
   serve::Reply wedge_reply;
@@ -329,9 +329,9 @@ TEST(ServeCoalescing, IdenticalQueuedRequestsShareOneExecution) {
   opts.socket_path = (tmp.path() / "epg.sock").string();
   serve::Server server(opts);
 
-  fault::Scoped hang(fault::Plan{.system = "GAP",
-                                 .kind = fault::Kind::kHang,
-                                 .phase = "bfs"});
+  fault::Scoped hang(fault::Event{.kind = fault::Kind::kHang,
+                                  .system = "GAP",
+                                  .phase = "bfs"});
   const auto wedge = make_run_request(6, 51, "GAP", harness::Algorithm::kBfs,
                                       /*roots=*/1, /*deadline_ms=*/2000);
   std::thread wedge_client([&] {

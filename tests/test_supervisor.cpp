@@ -12,10 +12,10 @@
 #include <thread>
 
 #include "core/error.hpp"
+#include "core/fault.hpp"
 #include "harness/analysis.hpp"
 #include "harness/collector.hpp"
 #include "harness/runner.hpp"
-#include "systems/common/fault_injection.hpp"
 #include "systems/common/system.hpp"
 #include "test_util.hpp"
 
@@ -43,6 +43,12 @@ ExperimentConfig tiny_config() {
   cfg.num_roots = 3;
   cfg.threads = 1;
   return cfg;
+}
+
+/// Counts the phase starts of `system` (any, when empty) in calls(0) and
+/// never fires.
+fault::Event phase_probe(std::string system = {}) {
+  return {.system = std::move(system), .fires = 0};
 }
 
 std::vector<RunRecord> records_with(const ExperimentResult& result,
@@ -221,7 +227,7 @@ TEST(SupervisedRun, HangCancelledAtDeadlineSweepContinues) {
   auto cfg = tiny_config();
   cfg.supervisor.timeout_seconds = 0.3;
   fault::Scoped fault(
-      {.system = "GAP", .kind = fault::Kind::kHang, .phase = "bfs"});
+      {.kind = fault::Kind::kHang, .system = "GAP", .phase = "bfs"});
 
   const auto result = run_experiment(cfg);
 
@@ -244,7 +250,7 @@ TEST(SupervisedRun, AbortContainedByIsolationSweepContinues) {
   // Children inherit the armed plan at fork() and counters never
   // propagate back, so every GAP child aborts.
   fault::Scoped fault(
-      {.system = "GAP", .kind = fault::Kind::kAbort, .phase = "bfs"});
+      {.kind = fault::Kind::kAbort, .system = "GAP", .phase = "bfs"});
 
   const auto result = run_experiment(cfg);
 
@@ -272,14 +278,14 @@ TEST(SupervisedRun, TransientFaultRetriedToSuccess) {
   cfg.supervisor.max_retries = 2;
   cfg.supervisor.backoff_base_seconds = 1e-4;
   cfg.supervisor.backoff_max_seconds = 1e-3;
-  fault::Scoped fault({.system = "GAP",
-                       .kind = fault::Kind::kTransient,
-                       .max_fires = 1,
-                       .phase = "bfs"});
+  fault::Scoped fault({.kind = fault::Kind::kTransient,
+                       .system = "GAP",
+                       .phase = "bfs",
+                       .fires = 1});
 
   const auto result = run_experiment(cfg);
 
-  EXPECT_EQ(fault::fire_count(), 1);
+  EXPECT_EQ(fault::fires(0), 1);
   EXPECT_TRUE(records_with(result, Outcome::kTransient).empty());
   const auto secs = result.seconds_of("GAP", phase::kAlgorithm, "BFS");
   ASSERT_EQ(secs.size(), 1u);
@@ -298,10 +304,10 @@ TEST(SupervisedRun, TransientExhaustionRecordedAsDnf) {
   cfg.num_roots = 1;
   cfg.supervisor.max_retries = 1;
   cfg.supervisor.backoff_base_seconds = 1e-4;
-  fault::Scoped fault({.system = "GAP",
-                       .kind = fault::Kind::kTransient,
-                       .max_fires = 1000,
-                       .phase = "bfs"});
+  fault::Scoped fault({.kind = fault::Kind::kTransient,
+                       .system = "GAP",
+                       .phase = "bfs",
+                       .fires = 1000});
 
   const auto result = run_experiment(cfg);
 
@@ -315,10 +321,10 @@ TEST(SupervisedRun, WrongOutputCaughtByValidation) {
   auto cfg = tiny_config();
   cfg.num_roots = 2;
   cfg.validate = true;
-  fault::Scoped fault({.system = "GAP",
-                       .kind = fault::Kind::kWrongOutput,
-                       .max_fires = 1,
-                       .phase = "bfs"});
+  fault::Scoped fault({.kind = fault::Kind::kWrongOutput,
+                       .system = "GAP",
+                       .phase = "bfs",
+                       .fires = 1});
 
   const auto result = run_experiment(cfg);
 
@@ -532,9 +538,9 @@ TEST_F(SupervisorDir, ResumeReexecutesZeroCompletedTrials) {
   // Count every phase the resumed sweep actually starts: a correct resume
   // starts none.
   cfg.supervisor.resume = true;
-  fault::Scoped probe({.kind = fault::Kind::kNone, .max_fires = 0});
+  fault::Scoped probe(phase_probe());
   const auto second = run_experiment(cfg);
-  EXPECT_EQ(fault::phase_events(), 0)
+  EXPECT_EQ(fault::calls(0), 0)
       << "resume re-executed journaled trials";
   EXPECT_EQ(second.records.size(), first.records.size());
   EXPECT_EQ(second.seconds_of("GAP", phase::kAlgorithm, "BFS").size(), 2u);
@@ -558,11 +564,10 @@ TEST_F(SupervisorDir, ResumeRunsOnlyTheTornTrial) {
       << text.substr(0, last_end + 1);
 
   cfg.supervisor.resume = true;
-  fault::Scoped probe(
-      {.system = "GAP", .kind = fault::Kind::kNone, .max_fires = 0});
+  fault::Scoped probe(phase_probe("GAP"));
   const auto second = run_experiment(cfg);
   // Exactly one GAP unit re-ran: its rebuild + its BFS, two phase starts.
-  EXPECT_EQ(fault::phase_events(), 2);
+  EXPECT_EQ(fault::calls(0), 2);
   EXPECT_EQ(second.records.size(), first.records.size());
   EXPECT_EQ(second.seconds_of("GAP", phase::kAlgorithm, "BFS").size(), 3u);
 }
@@ -575,10 +580,9 @@ TEST_F(SupervisorDir, ResumeMayAddSystems) {
 
   cfg.systems = {"GAP", "GraphMat"};
   cfg.supervisor.resume = true;
-  fault::Scoped probe(
-      {.system = "GAP", .kind = fault::Kind::kNone, .max_fires = 0});
+  fault::Scoped probe(phase_probe("GAP"));
   const auto result = run_experiment(cfg);
-  EXPECT_EQ(fault::phase_events(), 0) << "GAP was fully journaled";
+  EXPECT_EQ(fault::calls(0), 0) << "GAP was fully journaled";
   EXPECT_EQ(result.seconds_of("GraphMat", phase::kAlgorithm, "BFS").size(),
             2u);
 }
@@ -589,18 +593,18 @@ TEST_F(SupervisorDir, DnfOutcomesAreJournaledAndNotRetriedOnResume) {
   cfg.supervisor.timeout_seconds = 0.3;
   cfg.supervisor.journal_path = journal_path();
   {
-    fault::Scoped fault({.system = "GAP",
-                         .kind = fault::Kind::kHang,
-                         .max_fires = 1,
-                         .phase = "bfs"});
+    fault::Scoped fault({.kind = fault::Kind::kHang,
+                         .system = "GAP",
+                         .phase = "bfs",
+                         .fires = 1});
     const auto first = run_experiment(cfg);
     ASSERT_EQ(records_with(first, Outcome::kTimeout).size(), 1u);
   }
   // Resume: the timeout is settled history, not a retry candidate.
   cfg.supervisor.resume = true;
-  fault::Scoped probe({.kind = fault::Kind::kNone, .max_fires = 0});
+  fault::Scoped probe(phase_probe());
   const auto second = run_experiment(cfg);
-  EXPECT_EQ(fault::phase_events(), 0);
+  EXPECT_EQ(fault::calls(0), 0);
   ASSERT_EQ(records_with(second, Outcome::kTimeout).size(), 1u);
   EXPECT_EQ(second.seconds_of("GAP", phase::kAlgorithm, "BFS").size(), 1u);
 }
